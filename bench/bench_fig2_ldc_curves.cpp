@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "cfd/ldc_solver.hpp"
 #include "common.hpp"
 #include "pinn/navier_stokes.hpp"
+#include "pinn/scenario.hpp"
 
 using namespace sgm;
 
@@ -17,14 +17,12 @@ int main() {
   std::printf("bench_fig2_ldc_curves: budget %.0fs/arm, %d seed(s)\n",
               budget, seeds);
 
-  cfd::LdcOptions ref_opt;
-  ref_opt.n = 81;
-  ref_opt.reynolds = 10.0;
-  auto reference = std::make_shared<const cfd::LdcSolution>(
-      cfd::solve_lid_driven_cavity(ref_opt));
+  const cfd::LdcOptions ref_opt =
+      pinn::ldc_reference_options(pinn::ScenarioScale::kFull);
+  auto reference = pinn::solve_ldc_reference(ref_opt);
 
   pinn::LdcProblem::Options small_opt;
-  small_opt.reynolds = 10.0;
+  small_opt.reynolds = ref_opt.reynolds;
   small_opt.interior_points = 16384;
   small_opt.boundary_points = 2048;
   pinn::LdcProblem small_problem(small_opt, reference);

@@ -13,9 +13,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "cfd/ldc_solver.hpp"
 #include "common.hpp"
 #include "pinn/navier_stokes.hpp"
+#include "pinn/scenario.hpp"
 
 using namespace sgm;
 
@@ -26,19 +26,16 @@ int main() {
               seeds);
 
   // Reference fields (the OpenFOAM stand-in).
-  cfd::LdcOptions ref_opt;
-  ref_opt.n = 81;
-  ref_opt.reynolds = 10.0;
-  auto reference = std::make_shared<const cfd::LdcSolution>(
-      cfd::solve_lid_driven_cavity(ref_opt));
-  std::printf("reference solver: %s after %d sweeps\n",
-              reference->converged ? "converged" : "NOT converged",
+  const cfd::LdcOptions ref_opt =
+      pinn::ldc_reference_options(pinn::ScenarioScale::kFull);
+  auto reference = pinn::solve_ldc_reference(ref_opt);
+  std::printf("reference solver: converged after %d passes\n",
               reference->iterations);
 
   // Small-N problem for the reduced arms, large-N for the baseline
   // (paper: 8M vs 16M; here 16k vs 32k, same 1:2 ratio).
   pinn::LdcProblem::Options small_opt;
-  small_opt.reynolds = 10.0;
+  small_opt.reynolds = ref_opt.reynolds;
   small_opt.interior_points = 16384;
   small_opt.boundary_points = 2048;
   small_opt.zero_equation = true;

@@ -5,24 +5,25 @@
 //
 // Vorticity-streamfunction formulation on a uniform n x n grid:
 //   nabla^2 psi = -omega
-//   u dw/dx + v dw/dy = (1/Re) nabla^2 omega
-// with Thom's wall formula for boundary vorticity and SOR/Gauss-Seidel
-// sweeps. Verified in tests against the published Ghia, Ghia & Shin (1982)
-// centerline profiles.
+//   u dw/dx + v dw/dy = (1/Re) nabla^2 omega   (first-order upwind)
+// with Thom's wall formula for boundary vorticity. Each outer iteration is
+// one serial in-place pass: an SOR sweep of psi, the velocities, the wall
+// vorticity, an SOR sweep of omega. `converged` means both discrete
+// equations hold on the returned fields: at every interior node the
+// point-Jacobi correction of each (psi's times 4/h^2) is at most
+// `tolerance` times max|omega|. Verified in tests against the published
+// Ghia, Ghia & Shin (1982) centerline profiles.
 
-#include "tensor/matrix.hpp"
+#include "cfd/grid_sample.hpp"
 
 namespace sgm::cfd {
 
 struct LdcOptions {
-  int n = 129;               ///< grid points per side
+  int n = 129;                  ///< grid points per side
   double reynolds = 100.0;
   double lid_velocity = 1.0;
-  int max_iterations = 100000;   ///< outer vorticity-transport sweeps
-  double tolerance = 1e-7;       ///< max |d omega| per sweep to stop
-  double psi_relaxation = 1.8;   ///< SOR factor for the Poisson solve
-  int psi_sweeps = 30;           ///< Poisson sweeps per outer iteration
-  double omega_relaxation = 0.6; ///< under-relaxation for transport
+  int max_iterations = 100000;  ///< outer fused passes
+  double tolerance = 1e-9;      ///< relative residual of both equations
 };
 
 struct LdcSolution {
@@ -31,9 +32,12 @@ struct LdcSolution {
   tensor::Matrix u, v, psi, omega;  ///< (n x n), row = y index, col = x index
   bool converged = false;
   int iterations = 0;
+  double residual = 0.0;  ///< relative residual at the last check
 
-  /// Bilinear interpolation of a field at (x, y) in [0,1]^2.
-  double sample(const tensor::Matrix& field, double x, double y) const;
+  /// Bilinear interpolation of a field at (x, y); see sample_bilinear.
+  double sample(const tensor::Matrix& field, double x, double y) const {
+    return sample_bilinear(field, h, x, y);
+  }
   double sample_u(double x, double y) const { return sample(u, x, y); }
   double sample_v(double x, double y) const { return sample(v, x, y); }
 };

@@ -1,5 +1,7 @@
 #include "cfd/poisson_fdm.hpp"
 
+#include "cfd/grid_sample.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -7,13 +9,7 @@
 namespace sgm::cfd {
 
 double PoissonFdmSolution::sample(double x, double y) const {
-  const double cx = std::clamp(x, 0.0, 1.0) / h;
-  const double cy = std::clamp(y, 0.0, 1.0) / h;
-  const int i0 = std::min(static_cast<int>(cx), n - 2);
-  const int j0 = std::min(static_cast<int>(cy), n - 2);
-  const double fx = cx - i0, fy = cy - j0;
-  return t(j0, i0) * (1 - fx) * (1 - fy) + t(j0, i0 + 1) * fx * (1 - fy) +
-         t(j0 + 1, i0) * (1 - fx) * fy + t(j0 + 1, i0 + 1) * fx * fy;
+  return sample_bilinear(t, h, x, y);
 }
 
 PoissonFdmSolution solve_poisson_dirichlet(

@@ -27,7 +27,7 @@ struct PoissonFdmSolution {
   bool converged = false;
   int sweeps = 0;
 
-  /// Bilinear interpolation at (x, y) in [0,1]^2.
+  /// Bilinear interpolation at (x, y); see sample_bilinear.
   double sample(double x, double y) const;
 };
 

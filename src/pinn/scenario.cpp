@@ -1,5 +1,6 @@
 #include "pinn/scenario.hpp"
 
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -72,13 +73,10 @@ ScenarioConfig make_ldc(ScenarioScale scale) {
   cfg.name = "ldc_zeroeq";
   cfg.description =
       "lid-driven cavity with zero-equation turbulence vs the FD reference";
-  cfd::LdcOptions ref_opt;
-  ref_opt.n = s ? 41 : 81;
-  ref_opt.reynolds = 10.0;
-  auto reference = std::make_shared<const cfd::LdcSolution>(
-      cfd::solve_lid_driven_cavity(ref_opt));
+  const cfd::LdcOptions ref_opt = ldc_reference_options(scale);
+  auto reference = solve_ldc_reference(ref_opt);
   LdcProblem::Options popt;
-  popt.reynolds = 10.0;
+  popt.reynolds = ref_opt.reynolds;
   popt.interior_points = s ? 1024 : 16384;
   popt.boundary_points = s ? 256 : 2048;
   popt.zero_equation = true;
@@ -199,6 +197,28 @@ ScenarioConfig make_helmholtz(ScenarioScale scale) {
 }
 
 }  // namespace
+
+cfd::LdcOptions ldc_reference_options(ScenarioScale scale) {
+  cfd::LdcOptions opt;
+  opt.n = smoke(scale) ? 41 : 81;
+  opt.reynolds = 10.0;
+  return opt;
+}
+
+std::shared_ptr<const cfd::LdcSolution> solve_ldc_reference(
+    const cfd::LdcOptions& options) {
+  auto sol = std::make_shared<const cfd::LdcSolution>(
+      cfd::solve_lid_driven_cavity(options));
+  if (!sol->converged) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "LDC reference did not converge: %d iterations, relative "
+                  "residual %.3g > tolerance %.3g",
+                  sol->iterations, sol->residual, options.tolerance);
+    throw std::runtime_error(msg);
+  }
+  return sol;
+}
 
 ScenarioRegistry& ScenarioRegistry::instance() {
   static ScenarioRegistry* registry = [] {

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "cfd/ldc_solver.hpp"
 #include "core/sgm_sampler.hpp"
 #include "nn/mlp.hpp"
 #include "pinn/pde.hpp"
@@ -62,6 +63,16 @@ struct ScenarioConfig {
 };
 
 using ScenarioFactory = std::function<ScenarioConfig(ScenarioScale)>;
+
+/// Options of the ldc_zeroeq reference solve (Re = 10; n = 81 at kFull, 41
+/// at kSmoke), shared by the scenario and the LDC table/figure benches.
+cfd::LdcOptions ldc_reference_options(ScenarioScale scale);
+
+/// Solves the cavity; throws std::runtime_error naming the iteration count
+/// and residual if the solve did not converge, so no problem is ever built
+/// on an unconverged reference.
+std::shared_ptr<const cfd::LdcSolution> solve_ldc_reference(
+    const cfd::LdcOptions& options);
 
 class ScenarioRegistry {
  public:

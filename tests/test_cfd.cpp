@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "cfd/analytic.hpp"
 #include "cfd/ldc_solver.hpp"
@@ -15,15 +17,62 @@ using sgm::cfd::AnnularPoiseuille;
 using sgm::cfd::LdcOptions;
 using sgm::cfd::LdcSolution;
 
+LdcOptions cavity_options(double reynolds) {
+  LdcOptions opt;
+  opt.n = 81;
+  opt.reynolds = reynolds;
+  return opt;
+}
+
 const LdcSolution& solved_cavity_re100() {
-  static const LdcSolution sol = [] {
-    LdcOptions opt;
-    opt.n = 81;
-    opt.reynolds = 100.0;
-    opt.tolerance = 1e-7;
-    return sgm::cfd::solve_lid_driven_cavity(opt);
-  }();
+  static const LdcSolution sol =
+      sgm::cfd::solve_lid_driven_cavity(cavity_options(100.0));
   return sol;
+}
+
+// The production reference: the ldc_zeroeq scenario's full-scale solve.
+const LdcSolution& solved_cavity_re10() {
+  static const LdcSolution sol =
+      sgm::cfd::solve_lid_driven_cavity(cavity_options(10.0));
+  return sol;
+}
+
+struct Residuals {
+  double psi = 0.0;    ///< max |lap_h psi + omega| / max|omega|
+  double omega = 0.0;  ///< max |upwind transport residual| / (a_P max|omega|)
+};
+
+// Recomputes both discrete equations from the returned fields alone.
+Residuals relative_residuals(const LdcSolution& sol, double reynolds) {
+  const int n = sol.n;
+  const double h = sol.h;
+  const double d = 1.0 / (reynolds * h * h);  // diffusion coefficient
+  double w_max = 0.0;
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i)
+      w_max = std::max(w_max, std::fabs(sol.omega(j, i)));
+  Residuals r;
+  for (int j = 1; j < n - 1; ++j) {
+    for (int i = 1; i < n - 1; ++i) {
+      const auto& p = sol.psi;
+      const auto& w = sol.omega;
+      const double lap_psi = (p(j, i + 1) + p(j, i - 1) + p(j + 1, i) +
+                              p(j - 1, i) - 4.0 * p(j, i)) /
+                             (h * h);
+      r.psi = std::max(r.psi, std::fabs(lap_psi + w(j, i)) / w_max);
+      const double u = sol.u(j, i), v = sol.v(j, i);
+      const double ae = d + std::max(-u, 0.0) / h;
+      const double aw = d + std::max(u, 0.0) / h;
+      const double an = d + std::max(-v, 0.0) / h;
+      const double as = d + std::max(v, 0.0) / h;
+      const double ap = ae + aw + an + as;
+      const double transport = ae * w(j, i + 1) + aw * w(j, i - 1) +
+                               an * w(j + 1, i) + as * w(j - 1, i) -
+                               ap * w(j, i);
+      r.omega = std::max(r.omega, std::fabs(transport) / (ap * w_max));
+    }
+  }
+  return r;
 }
 
 TEST(LdcSolver, Converges) {
@@ -98,12 +147,26 @@ TEST(LdcSolver, StreamfunctionMinimumLocation) {
 }
 
 TEST(LdcSolver, RejectsBadOptions) {
-  LdcOptions bad;
-  bad.n = 4;
-  EXPECT_THROW(sgm::cfd::solve_lid_driven_cavity(bad), std::invalid_argument);
-  bad.n = 32;
-  bad.reynolds = -1;
-  EXPECT_THROW(sgm::cfd::solve_lid_driven_cavity(bad), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](auto mutate) {
+    LdcOptions bad;
+    bad.n = 32;
+    mutate(bad);
+    EXPECT_THROW(sgm::cfd::solve_lid_driven_cavity(bad), std::invalid_argument);
+  };
+  rejects([](LdcOptions& o) { o.n = 4; });
+  rejects([](LdcOptions& o) { o.reynolds = -1; });
+  rejects([&](LdcOptions& o) { o.reynolds = nan; });
+  rejects([&](LdcOptions& o) { o.reynolds = inf; });
+  rejects([&](LdcOptions& o) { o.lid_velocity = nan; });
+  rejects([&](LdcOptions& o) { o.lid_velocity = -inf; });
+  rejects([](LdcOptions& o) { o.max_iterations = 0; });
+  rejects([](LdcOptions& o) { o.max_iterations = -5; });
+  rejects([](LdcOptions& o) { o.tolerance = 0.0; });
+  rejects([](LdcOptions& o) { o.tolerance = -1e-9; });
+  rejects([&](LdcOptions& o) { o.tolerance = nan; });
+  rejects([&](LdcOptions& o) { o.tolerance = inf; });
 }
 
 TEST(LdcSolver, BilinearSamplingInterpolates) {
@@ -112,6 +175,56 @@ TEST(LdcSolver, BilinearSamplingInterpolates) {
   EXPECT_NEAR(sol.sample_u(0.5, 1.0), 1.0, 1e-12);
   // Clamps out-of-range coordinates.
   EXPECT_NO_THROW(sol.sample_u(-0.5, 2.0));
+}
+
+TEST(LdcSolver, SamplingRejectsNonFiniteCoordinates) {
+  const auto& sol = solved_cavity_re100();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sol.sample_u(nan, 0.5), std::invalid_argument);
+  EXPECT_THROW(sol.sample_v(0.5, nan), std::invalid_argument);
+  EXPECT_THROW(sol.sample(sol.psi, inf, 0.5), std::invalid_argument);
+  EXPECT_THROW(sol.sample_u(0.5, -inf), std::invalid_argument);
+}
+
+TEST(LdcSolver, ReturnedFieldsSatisfyBothDiscreteEquations) {
+  for (const double re : {10.0, 100.0}) {
+    const auto& sol = re == 10.0 ? solved_cavity_re10() : solved_cavity_re100();
+    ASSERT_TRUE(sol.converged) << "Re=" << re;
+    const Residuals r = relative_residuals(sol, re);
+    const double tolerance = cavity_options(re).tolerance;
+    EXPECT_LE(r.psi, tolerance) << "Re=" << re;
+    EXPECT_LE(r.omega, tolerance) << "Re=" << re;
+    EXPECT_LE(sol.residual, tolerance) << "Re=" << re;
+  }
+}
+
+TEST(LdcSolver, ProductionReferenceGolden) {
+  // n = 81, Re = 10: values of the fixed point, to within the 1e-5 that
+  // separates any two solves converged to the default tolerance.
+  const auto& sol = solved_cavity_re10();
+  double psi_min = 0.0;
+  for (int j = 0; j < sol.n; ++j)
+    for (int i = 0; i < sol.n; ++i) psi_min = std::min(psi_min, sol.psi(j, i));
+  EXPECT_NEAR(psi_min, -0.100195, 1e-5);
+  EXPECT_NEAR(sol.sample_u(0.5, 0.75), -0.031139, 1e-5);
+  EXPECT_NEAR(sol.sample_v(0.25, 0.5), 0.176424, 1e-5);
+}
+
+TEST(LdcSolver, ProductionReferenceIterationCeiling) {
+  // Deterministic guard on the fused pass's convergence rate, which takes
+  // 1190 passes here; no wall clock involved.
+  EXPECT_LT(solved_cavity_re10().iterations, 2500);
+}
+
+TEST(LdcSolver, ReportsUnconvergedWithItsResidual) {
+  LdcOptions opt = cavity_options(10.0);
+  opt.max_iterations = 25;  // not a multiple of the check interval
+  const LdcSolution sol = sgm::cfd::solve_lid_driven_cavity(opt);
+  EXPECT_FALSE(sol.converged);
+  EXPECT_EQ(sol.iterations, 25);
+  EXPECT_TRUE(std::isfinite(sol.residual));
+  EXPECT_GT(sol.residual, opt.tolerance);
 }
 
 // ----------------------------------------------------- annular Poiseuille --

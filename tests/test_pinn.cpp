@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "cfd/analytic.hpp"
 #include "nn/mlp.hpp"
@@ -15,6 +17,7 @@
 #include "pinn/navier_stokes.hpp"
 #include "pinn/pde.hpp"
 #include "pinn/point_cloud.hpp"
+#include "pinn/scenario.hpp"
 #include "pinn/validation.hpp"
 #include "pinn/zero_eq.hpp"
 #include "util/rng.hpp"
@@ -253,6 +256,28 @@ TEST(LdcProblem, ConstructsAndScores) {
   EXPECT_GT(tape.value(loss)(0, 0), 0.0);
   // Without a reference solution, validation is empty.
   EXPECT_TRUE(prob.validate(net).empty());
+}
+
+TEST(LdcReference, SharedOptionsAreTheTable1Setup) {
+  using sgm::pinn::ScenarioScale;
+  const auto full = sgm::pinn::ldc_reference_options(ScenarioScale::kFull);
+  EXPECT_EQ(full.n, 81);
+  EXPECT_DOUBLE_EQ(full.reynolds, 10.0);
+  EXPECT_EQ(sgm::pinn::ldc_reference_options(ScenarioScale::kSmoke).n, 41);
+}
+
+TEST(LdcReference, ThrowsOnAnUnconvergedSolve) {
+  auto opt = sgm::pinn::ldc_reference_options(sgm::pinn::ScenarioScale::kSmoke);
+  EXPECT_TRUE(sgm::pinn::solve_ldc_reference(opt)->converged);
+  opt.max_iterations = 20;
+  try {
+    sgm::pinn::solve_ldc_reference(opt);
+    FAIL() << "an unconverged reference was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("20 iterations"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("residual"), std::string::npos) << msg;
+  }
 }
 
 TEST(LdcProblem, NavierStokesResidualConsistency) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "cfd/analytic.hpp"
 #include "cfd/poisson_fdm.hpp"
@@ -47,6 +48,17 @@ TEST(PoissonFdm, PositiveSourceHeatsInterior) {
   // Max of -lap T = 1 on the unit square is ~0.0737 at the center.
   EXPECT_NEAR(sol.sample(0.5, 0.5), 0.0737, 0.002);
   EXPECT_GT(sol.sample(0.5, 0.5), sol.sample(0.1, 0.1));
+}
+
+TEST(PoissonFdm, SamplingRejectsNonFiniteCoordinates) {
+  auto sol = sgm::cfd::solve_poisson_dirichlet(
+      [](double, double) { return 1.0; }, {17, 2000, 1e-8, 1.7});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sol.sample(nan, 0.5), std::invalid_argument);
+  EXPECT_THROW(sol.sample(0.5, nan), std::invalid_argument);
+  EXPECT_THROW(sol.sample(inf, 0.5), std::invalid_argument);
+  EXPECT_NO_THROW(sol.sample(-3.0, 7.0));  // finite: clamped onto the edge
 }
 
 TEST(PoissonFdm, RejectsTinyGrid) {
