@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -86,33 +85,7 @@ inline void backoff(int& spins) {
 
 }  // namespace
 
-// Legacy (mutex-mode) request record.
-struct InferenceBatcher::Pending {
-  std::string scenario;
-  std::vector<double> x;
-  struct Outcome {
-    Response resp;
-    ErrKind err = ErrKind::kNone;
-    std::string message;
-  };
-  std::promise<Outcome> promise;
-  util::WallTimer since_enqueue;  ///< feeds query_latency
-  Clock::time_point deadline;     ///< enqueue time + max_delay_s
-
-  void fulfill(Response resp) {
-    Outcome out;
-    out.resp = std::move(resp);
-    promise.set_value(std::move(out));
-  }
-  void fail(ErrKind kind, std::string message) {
-    Outcome out;
-    out.err = kind;
-    out.message = std::move(message);
-    promise.set_value(std::move(out));
-  }
-};
-
-// Pooled response slot (ring mode). Ownership handoff:
+// Pooled response slot. Ownership handoff:
 //   client: pops the index off the freelist (exclusive owner), writes the
 //           request fields, pushes the index onto the request ring — the
 //           ring's release/acquire pair publishes the request to the
@@ -158,26 +131,19 @@ InferenceBatcher::InferenceBatcher(ModelRegistry& registry, BatcherOptions opt,
   SGM_CHECK_ARG(opt_.max_batch >= 1, "InferenceBatcher: max_batch must be >= 1");
   SGM_CHECK_ARG(opt_.num_workers >= 1,
                 "InferenceBatcher: num_workers must be >= 1");
-  if (opt_.mode == QueueMode::kRing) {
-    SGM_CHECK_ARG(opt_.queue_capacity >= 2,
-                  "InferenceBatcher: queue_capacity must be >= 2");
-    ring_ = std::make_unique<util::MpscRing<std::uint32_t>>(opt_.queue_capacity);
-    freelist_ =
-        std::make_unique<util::MpscRing<std::uint32_t>>(ring_->capacity());
-    slots_ = std::make_unique<Slot[]>(ring_->capacity());
-    for (std::uint32_t i = 0; i < ring_->capacity(); ++i) {
-      const bool ok = freelist_->try_push(i);
-      SGM_CHECK(ok, "freelist seeding overflowed at slot ", i);
-    }
+  SGM_CHECK_ARG(opt_.queue_capacity >= 2,
+                "InferenceBatcher: queue_capacity must be >= 2");
+  ring_ = std::make_unique<util::MpscRing<std::uint32_t>>(opt_.queue_capacity);
+  freelist_ =
+      std::make_unique<util::MpscRing<std::uint32_t>>(ring_->capacity());
+  slots_ = std::make_unique<Slot[]>(ring_->capacity());
+  for (std::uint32_t i = 0; i < ring_->capacity(); ++i) {
+    const bool ok = freelist_->try_push(i);
+    SGM_CHECK(ok, "freelist seeding overflowed at slot ", i);
   }
   workers_.reserve(opt_.num_workers);
   for (std::size_t i = 0; i < opt_.num_workers; ++i)
-    workers_.emplace_back([this] {
-      if (opt_.mode == QueueMode::kRing)
-        ring_worker_loop();
-      else
-        mutex_worker_loop();
-    });
+    workers_.emplace_back([this] { ring_worker_loop(); });
 }
 
 InferenceBatcher::~InferenceBatcher() { stop(); }
@@ -190,20 +156,16 @@ InferenceBatcher::Response InferenceBatcher::query(const std::string& scenario,
   const double budget =
       deadline_s < 0.0 ? opt_.default_deadline_s : deadline_s;
   maybe_shed(budget);
-  return opt_.mode == QueueMode::kRing ? ring_query(scenario, std::move(x))
-                                       : mutex_query(scenario, std::move(x));
+  return ring_query(scenario, std::move(x));
 }
 
 std::uint64_t InferenceBatcher::in_flight() const {
-  if (opt_.mode == QueueMode::kRing) {
-    // Derived, not counted: a slot absent from the freelist is owned by a
-    // client or the worker. Two relaxed loads; the lock-free request path
-    // pays nothing for this monitoring signal.
-    const std::size_t free_slots = freelist_->approx_size();
-    const std::size_t cap = ring_->capacity();
-    return free_slots >= cap ? 0 : cap - free_slots;
-  }
-  return in_flight_.load(std::memory_order_relaxed);
+  // Derived, not counted: a slot absent from the freelist is owned by a
+  // client or the worker. Two relaxed loads; the lock-free request path
+  // pays nothing for this monitoring signal.
+  const std::size_t free_slots = freelist_->approx_size();
+  const std::size_t cap = ring_->capacity();
+  return free_slots >= cap ? 0 : cap - free_slots;
 }
 
 double InferenceBatcher::estimated_wait_s() const {
@@ -241,12 +203,7 @@ HealthState InferenceBatcher::health() {
   // Latched: any shed since the previous probe marks one degraded reading.
   if (shed_since_health_.exchange(0, std::memory_order_relaxed) != 0)
     return HealthState::kDegraded;
-  const std::uint64_t depth = in_flight();
-  if (opt_.mode == QueueMode::kRing) {
-    if (depth * 2 >= ring_->capacity()) return HealthState::kDegraded;
-  } else if (depth >= 4 * opt_.max_batch) {
-    return HealthState::kDegraded;
-  }
+  if (in_flight() * 2 >= ring_->capacity()) return HealthState::kDegraded;
   return HealthState::kOk;
 }
 
@@ -269,7 +226,7 @@ void InferenceBatcher::count_flush(std::size_t batch_size) {
 }
 
 // ---------------------------------------------------------------------------
-// Ring mode
+// Request path
 // ---------------------------------------------------------------------------
 
 std::uint32_t InferenceBatcher::ring_submit(const std::string& scenario,
@@ -331,9 +288,6 @@ void InferenceBatcher::query_async(const std::string& scenario,
                                    std::uint64_t tag1, std::uint64_t tag2) {
   SGM_CHECK_ARG(done != nullptr,
                 "InferenceBatcher: query_async needs a completion");
-  if (opt_.mode != QueueMode::kRing)
-    throw std::logic_error(
-        "InferenceBatcher: query_async requires QueueMode::kRing");
   if (draining_.load(std::memory_order_acquire))
     throw std::runtime_error("InferenceBatcher: query after stop()");
   const double budget =
@@ -624,160 +578,12 @@ void InferenceBatcher::serve_slots(const std::vector<std::uint32_t>& batch) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy mutex mode (the PR 6 implementation, kept as the bench A/B arm)
-// ---------------------------------------------------------------------------
-
-InferenceBatcher::Response InferenceBatcher::mutex_query(
-    const std::string& scenario, std::vector<double>&& x) {
-  auto pending = std::make_unique<Pending>();
-  pending->scenario = scenario;
-  pending->x = std::move(x);
-  pending->deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opt_.max_delay_s));
-  std::future<Pending::Outcome> fut = pending->promise.get_future();
-  {
-    util::MutexLock lock(mu_);
-    if (stop_)
-      throw std::runtime_error("InferenceBatcher: query after stop()");
-    queue_.push_back(std::move(pending));
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  cv_.notify_one();
-  Pending::Outcome out = fut.get();
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  if (out.err != ErrKind::kNone) rethrow(out.err, out.message);
-  return std::move(out.resp);
-}
-
-void InferenceBatcher::collect_locked(
-    const std::string& scenario,
-    std::vector<std::unique_ptr<Pending>>& batch) {
-  for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < opt_.max_batch;) {
-    if ((*it)->scenario == scenario) {
-      batch.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void InferenceBatcher::mutex_worker_loop() {
-  std::vector<std::unique_ptr<Pending>> batch;
-  while (true) {
-    batch.clear();
-    {
-      util::MutexLock lock(mu_);
-      while (!stop_ && queue_.empty()) cv_.wait(mu_);
-      if (stop_) return;  // stop() answers whatever is still queued
-
-      // Coalesce every pending request for the scenario at the head of the
-      // queue; requests for other scenarios keep their queue order and are
-      // picked up by the next batch.
-      const std::string scenario = queue_.front()->scenario;
-      const Clock::time_point deadline = queue_.front()->deadline;
-      collect_locked(scenario, batch);
-      // Deadline flush, as in ring mode.
-      while (batch.size() < opt_.max_batch && !stop_) {
-        if (cv_.wait_until(mu_, deadline) == std::cv_status::timeout) {
-          collect_locked(scenario, batch);
-          break;
-        }
-        collect_locked(scenario, batch);
-      }
-    }
-    count_flush(batch.size());
-    serve_batch(std::move(batch));
-  }
-}
-
-void InferenceBatcher::serve_batch(
-    std::vector<std::unique_ptr<Pending>> batch) {
-  if (batch.empty()) return;
-  util::WallTimer service_timer;  // feeds the estimated-wait EWMA
-
-  ServedModelPtr served;
-  try {
-    served = registry_.acquire(batch.front()->scenario);
-  } catch (const std::exception& e) {
-    if (metrics_)
-      metrics_->query_errors_total.fetch_add(batch.size(),
-                                             std::memory_order_relaxed);
-    const ErrKind kind = dynamic_cast<const std::out_of_range*>(&e)
-                             ? ErrKind::kOutOfRange
-                             : ErrKind::kRuntime;
-    for (auto& p : batch) p->fail(kind, e.what());
-    return;
-  }
-  const nn::Mlp& net = *served->model;
-  const std::size_t in_dim = net.config().input_dim;
-  const std::size_t out_dim = net.config().output_dim;
-
-  thread_local tensor::Matrix xb, yb;
-  thread_local nn::Mlp::ForwardWorkspace ws;
-
-  std::vector<Pending*> valid;
-  valid.reserve(batch.size());
-  for (auto& p : batch) {
-    if (p->x.size() == in_dim) {
-      valid.push_back(p.get());
-      continue;
-    }
-    if (metrics_)
-      metrics_->query_errors_total.fetch_add(1, std::memory_order_relaxed);
-    p->fail(ErrKind::kInvalidArgument,
-            "InferenceBatcher: query width " + std::to_string(p->x.size()) +
-                " != input_dim " + std::to_string(in_dim));
-  }
-  if (valid.empty()) return;
-
-  xb.resize(valid.size(), in_dim);
-  for (std::size_t r = 0; r < valid.size(); ++r) {
-    double* row = xb.row(r);
-    for (std::size_t c = 0; c < in_dim; ++c) row[c] = valid[r]->x[c];
-  }
-  try {
-    net.forward_batched(xb, yb, ws, opt_.num_threads);
-  } catch (const std::exception& e) {
-    if (metrics_)
-      metrics_->query_errors_total.fetch_add(valid.size(),
-                                             std::memory_order_relaxed);
-    for (Pending* p : valid) p->fail(ErrKind::kRuntime, e.what());
-    return;
-  }
-  SGM_CHECK(yb.rows() == valid.size() && yb.cols() == out_dim,
-            "forward_batched returned ", yb.rows(), "x", yb.cols(),
-            " for a ", valid.size(), "-query batch of width ", out_dim);
-
-  if (metrics_) {
-    metrics_->batched_queries_total.fetch_add(valid.size(),
-                                              std::memory_order_relaxed);
-    metrics_->queries_total.fetch_add(valid.size(),
-                                      std::memory_order_relaxed);
-  }
-  for (std::size_t r = 0; r < valid.size(); ++r) {
-    Response resp;
-    resp.y.assign(yb.row(r), yb.row(r) + out_dim);
-    resp.version = served->info.meta.model_version;
-    resp.checksum = served->info.checksum;
-    if (metrics_)
-      metrics_->query_latency.record(valid[r]->since_enqueue.elapsed_s());
-    valid[r]->fulfill(std::move(resp));
-  }
-  update_service_ewma(service_timer.elapsed_s());
-}
-
-// ---------------------------------------------------------------------------
 // Shutdown
 // ---------------------------------------------------------------------------
 
 void InferenceBatcher::graceful_drain() {
   // Step 1 of stop(): flip to draining (query() rejects from here on) and
   // give the workers a bounded window to answer what was already accepted.
-  // Already-draining calls fall through immediately once in-flight work
-  // is gone, keeping stop() idempotent.
   draining_.store(true, std::memory_order_seq_cst);
   const Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -787,36 +593,22 @@ void InferenceBatcher::graceful_drain() {
 }
 
 void InferenceBatcher::stop() {
+  util::MutexLock lock(stop_mu_);
+  if (stopped_) return;
+  stopped_ = true;
   graceful_drain();
-  if (opt_.mode == QueueMode::kRing) {
-    stop_flag_.store(true, std::memory_order_seq_cst);
-    // Let in-flight ring pushes land before the final drain (Dekker pair
-    // with ring_query): any client past its stop recheck has already
-    // incremented pending_pushes_.
-    while (pending_pushes_.load(std::memory_order_seq_cst) != 0)
-      std::this_thread::yield();
-    gate_.notify_all();
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-    workers_.clear();
-    drain_ring_failing();  // entries that raced past the exiting workers
-    return;
-  }
-  std::deque<std::unique_ptr<Pending>> orphans;
-  {
-    util::MutexLock lock(mu_);
-    stop_ = true;
-    orphans.swap(queue_);
-  }
-  cv_.notify_all();
+  stop_flag_.store(true, std::memory_order_seq_cst);
+  // Let in-flight ring pushes land before the final drain (Dekker pair
+  // with ring_submit): any client past its stop recheck has already
+  // incremented pending_pushes_.
+  while (pending_pushes_.load(std::memory_order_seq_cst) != 0)
+    std::this_thread::yield();
+  gate_.notify_all();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
   workers_.clear();
-  for (auto& p : orphans) {
-    p->fail(ErrKind::kRuntime, "InferenceBatcher: stopped before serving");
-  }
+  drain_ring_failing();  // entries that raced past the exiting workers
 }
 
 }  // namespace sgm::serve

@@ -12,6 +12,7 @@
 //    under ThreadSanitizer in CI (serve-smoke job).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -35,6 +36,7 @@
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/socket.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -45,7 +47,6 @@ using sgm::serve::BatcherOptions;
 using sgm::serve::InferenceBatcher;
 using sgm::serve::ModelRegistry;
 using sgm::serve::QueueFullError;
-using sgm::serve::QueueMode;
 using sgm::serve::ServeMetrics;
 using sgm::tensor::Matrix;
 
@@ -354,32 +355,6 @@ TEST_F(ServeTest, BatcherErrorPaths) {
   batcher.stop();  // idempotent
 }
 
-// The PR 6 mutex+promise path is kept as the bench A/B arm; it must keep
-// serving bitwise-correct responses and its stop() contract.
-TEST_F(ServeTest, LegacyMutexModeStillServesBitwise) {
-  ModelRegistry registry(root_);
-  sgm::util::Rng rng(36);
-  Mlp net(small_config(), rng);
-  registry.publish("s", net);
-
-  BatcherOptions opt;
-  opt.mode = QueueMode::kMutex;
-  opt.max_delay_s = 1e-4;
-  InferenceBatcher batcher(registry, opt);
-
-  const Matrix probes = probe_batch(16, net.config().input_dim, 91);
-  const Matrix expected = net.forward(probes);
-  for (std::size_t r = 0; r < probes.rows(); ++r) {
-    const auto resp = batcher.query("s", row_vec(probes, r));
-    ASSERT_EQ(std::memcmp(resp.y.data(), expected.row(r),
-                          resp.y.size() * sizeof(double)),
-              0);
-  }
-  EXPECT_THROW(batcher.query("never", {0.0, 0.0}), std::out_of_range);
-  batcher.stop();
-  EXPECT_THROW(batcher.query("s", {0.0, 0.0}), std::runtime_error);
-}
-
 // Far more queries than the slot pool: every slot is recycled through many
 // generations, and a stale generation tag would surface as a wrong or torn
 // response (bitwise check) or a hang.
@@ -626,14 +601,10 @@ std::string response_body(const std::string& response) {
 }
 
 struct HttpStack {
-  explicit HttpStack(const std::string& root,
-                     sgm::serve::IoMode io = sgm::serve::IoMode::kReactor)
+  explicit HttpStack(const std::string& root)
       : registry(root), batcher(registry, batcher_opts(), &metrics) {
-    sgm::serve::HttpServerOptions hopt;
-    hopt.num_workers = 2;
-    hopt.io_mode = io;
     server = std::make_unique<sgm::serve::HttpServer>(registry, batcher,
-                                                      metrics, hopt);
+                                                      metrics);
   }
   ~HttpStack() {
     server->stop();
@@ -861,9 +832,7 @@ TEST_F(ServeTest, HttpQueueFullReturns503) {
   bopt.max_batch = 8;        // batches never fill ...
   bopt.max_delay_s = 50e-3;  // ... so each query holds its slot ~50 ms
   InferenceBatcher batcher(registry, bopt, &metrics);
-  sgm::serve::HttpServerOptions hopt;
-  hopt.num_workers = 2;
-  sgm::serve::HttpServer server(registry, batcher, metrics, hopt);
+  sgm::serve::HttpServer server(registry, batcher, metrics);
 
   sgm::util::Rng rng(45);
   Mlp net(small_config(), rng);
@@ -1053,14 +1022,11 @@ TEST_F(ServeTest, Http503RetryWithBackoffEventuallySucceeds) {
   ModelRegistry registry(root_);
   ServeMetrics metrics;
   BatcherOptions bopt;
-  bopt.mode = QueueMode::kRing;
   bopt.queue_capacity = 2;
   bopt.max_batch = 8;        // batches never fill ...
   bopt.max_delay_s = 20e-3;  // ... so each query holds its slot ~20 ms
   InferenceBatcher batcher(registry, bopt, &metrics);
-  sgm::serve::HttpServerOptions hopt;
-  hopt.num_workers = 2;
-  sgm::serve::HttpServer server(registry, batcher, metrics, hopt);
+  sgm::serve::HttpServer server(registry, batcher, metrics);
 
   sgm::util::Rng rng(54);
   Mlp net(small_config(), rng);
@@ -1122,8 +1088,6 @@ TEST_F(ServeTest, Http503RetryWithBackoffEventuallySucceeds) {
 
 // ----------------------------------------- PR 10: reactor + request-path fixes
 
-using sgm::serve::IoMode;
-
 /// Reads exactly one complete HTTP response (head + Content-Length body)
 /// from a keep-alive connection. `leftover` carries bytes of the *next*
 /// response across calls, so pipelined responses split correctly no matter
@@ -1152,19 +1116,11 @@ std::string read_one_response(sgm::util::TcpSocket& conn,
   }
 }
 
-/// Every request-path contract must hold identically under the epoll
-/// reactor (default) and the thread-per-connection A/B baseline.
-class HttpIo : public ServeTest,
-               public testing::WithParamInterface<IoMode> {};
+/// The request-path contracts, end to end against the epoll reactor.
+class HttpIo : public ServeTest {};
 
-INSTANTIATE_TEST_SUITE_P(IoModes, HttpIo,
-                         testing::Values(IoMode::kReactor, IoMode::kThreads),
-                         [](const testing::TestParamInfo<IoMode>& info) {
-                           return std::string(sgm::serve::to_string(info.param));
-                         });
-
-TEST_P(HttpIo, QueryAndPipeliningServeInBothModes) {
-  HttpStack stack(root_, GetParam());
+TEST_F(HttpIo, QueryAndPipeliningServe) {
+  HttpStack stack(root_);
   sgm::util::Rng rng(61);
   Mlp net(small_config(), rng);
   stack.registry.publish("s", net);
@@ -1189,8 +1145,8 @@ TEST_P(HttpIo, QueryAndPipeliningServeInBothModes) {
 
 // Satellite 1: nan/inf and overflowing literals like 1e999 are not JSON and
 // must never reach the model as silent poison — reject with 400 at parse.
-TEST_P(HttpIo, NonFiniteNumbersRejectedWith400) {
-  HttpStack stack(root_, GetParam());
+TEST_F(HttpIo, NonFiniteNumbersRejectedWith400) {
+  HttpStack stack(root_);
   sgm::util::Rng rng(62);
   Mlp net(small_config(), rng);
   stack.registry.publish("s", net);
@@ -1237,8 +1193,8 @@ TEST_F(ServeTest, RenderQueryBodyRefusesNonFinitePredictions) {
 // "x" — so the *value* of "scenario" spells the next key — must parse. The
 // old find_key raw-scanned for `"x"` and matched the one inside the
 // scenario string, then failed to find an array after it.
-TEST_P(HttpIo, ScenarioValueCannotShadowBodyKey) {
-  HttpStack stack(root_, GetParam());
+TEST_F(HttpIo, ScenarioValueCannotShadowBodyKey) {
+  HttpStack stack(root_);
   MlpConfig cfg = small_config();
   cfg.input_dim = 1;
   sgm::util::Rng rng(63);
@@ -1272,8 +1228,8 @@ TEST_P(HttpIo, ScenarioValueCannotShadowBodyKey) {
 // "keep-alive, Upgrade" on an HTTP/1.0 request must keep the connection
 // alive (the old exact-match compare saw neither token and fell back to the
 // 1.0 close default); "Upgrade, close" on HTTP/1.1 must close.
-TEST_P(HttpIo, ConnectionHeaderParsedAsTokenList) {
-  HttpStack stack(root_, GetParam());
+TEST_F(HttpIo, ConnectionHeaderParsedAsTokenList) {
+  HttpStack stack(root_);
   sgm::util::Rng rng(64);
   Mlp net(small_config(), rng);
   stack.registry.publish("s", net);
@@ -1304,21 +1260,20 @@ TEST_P(HttpIo, ConnectionHeaderParsedAsTokenList) {
 }
 
 // Satellite 3a: EINTR while parked waiting for readiness is a retry, never
-// a disconnect. The failpoint fakes a signal delivery in the idle wait of
-// whichever I/O path is under test; a healthy keep-alive connection must
-// survive it and serve the next request.
-TEST_P(HttpIo, EintrDuringIdleWaitIsRetriedNotFatal) {
-  HttpStack stack(root_, GetParam());
+// a disconnect. The failpoint fakes a signal delivery in the reactor's
+// epoll_wait; a healthy keep-alive connection must survive it and serve
+// the next request.
+TEST_F(HttpIo, EintrDuringIdleWaitIsRetriedNotFatal) {
+  HttpStack stack(root_);
   sgm::util::Rng rng(65);
   Mlp net(small_config(), rng);
   stack.registry.publish("s", net);
   const std::uint16_t port = stack.server->port();
 
-  const char* failpoint = GetParam() == IoMode::kReactor ? "http.epoll_eintr"
-                                                         : "http.poll_eintr";
   sgm::util::TcpSocket conn = sgm::util::tcp_connect(port);
   std::string leftover;
-  sgm::util::FailpointRegistry::instance().arm(failpoint, "once");
+  sgm::util::FailpointRegistry::instance().arm("http.epoll_wait_eintr",
+                                               "once");
   ASSERT_TRUE(conn.write_all(
       "GET /healthz HTTP/1.1\r\nHost: h\r\nConnection: keep-alive\r\n\r\n"));
   std::string resp = read_one_response(conn, leftover);
@@ -1333,10 +1288,9 @@ TEST_P(HttpIo, EintrDuringIdleWaitIsRetriedNotFatal) {
   EXPECT_EQ(response_status(resp), 200) << resp;
 }
 
-// The open-connections gauge tracks accepted-but-not-yet-closed sockets in
-// both I/O modes.
-TEST_P(HttpIo, MetricsReportOpenConnectionsGauge) {
-  HttpStack stack(root_, GetParam());
+// The open-connections gauge tracks accepted-but-not-yet-closed sockets.
+TEST_F(HttpIo, MetricsReportOpenConnectionsGauge) {
+  HttpStack stack(root_);
   const std::uint16_t port = stack.server->port();
 
   // Hold one keep-alive connection open while scraping on a second: the
@@ -1456,8 +1410,7 @@ TEST_F(ServeTest, ReactorServes256PipelinedConnectionsBitwiseExact) {
 }
 
 // query_async is the reactor's dispatch primitive: the completion must
-// deliver the same bitwise payload the blocking query() returns, and the
-// mutex A/B arm must refuse it loudly (it has no completion machinery).
+// deliver the same bitwise payload the blocking query() returns.
 TEST_F(ServeTest, QueryAsyncDeliversBitwiseEqualCompletion) {
   ModelRegistry registry(root_);
   sgm::util::Rng rng(67);
@@ -1467,7 +1420,6 @@ TEST_F(ServeTest, QueryAsyncDeliversBitwiseEqualCompletion) {
   BatcherOptions opt;
   opt.max_delay_s = 100e-6;
   InferenceBatcher batcher(registry, opt);
-  ASSERT_TRUE(batcher.supports_async());
 
   struct Ctx {
     std::atomic<bool> done{false};
@@ -1517,40 +1469,127 @@ TEST_F(ServeTest, QueryAsyncDeliversBitwiseEqualCompletion) {
   while (!ectx.done.load(std::memory_order_acquire)) std::this_thread::yield();
   EXPECT_EQ(ectx.error, sgm::serve::QueryError::kNotFound);
   batcher.stop();
-
-  BatcherOptions mopt;
-  mopt.mode = QueueMode::kMutex;
-  InferenceBatcher mutex_batcher(registry, mopt);
-  EXPECT_FALSE(mutex_batcher.supports_async());
-  EXPECT_THROW(mutex_batcher.query_async(
-                   "s", {0.1, 0.2}, -1.0,
-                   [](void*, std::uint64_t, std::uint64_t,
-                      InferenceBatcher::Response&&, sgm::serve::QueryError,
-                      const std::string&) {},
-                   nullptr, 0, 0),
-               std::logic_error);
-  mutex_batcher.stop();
 }
 
-// The reactor refuses to start on a batcher that cannot dispatch
-// asynchronously — a misconfiguration, not a silent fallback.
-TEST_F(ServeTest, ReactorRequiresAsyncCapableBatcher) {
+// ------------------------------------------- reactor fault paths + stop()
+
+double process_cpu_s() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
+// A failed accept (EMFILE: out of descriptors) leaves the client pending
+// and the level-triggered listener readable. The reactor must back off
+// instead of re-polling it in a hot loop: with the failure injected and a
+// client waiting, the process stays near idle. Once the failure clears,
+// the pending client is served.
+TEST_F(ServeTest, AcceptErrorBacksOffInsteadOfSpinning) {
+  HttpStack stack(root_);
+  auto& fp = sgm::util::FailpointRegistry::instance();
+  const sgm::util::Failpoint& site =
+      sgm::util::Failpoint::site("socket.accept_emfile");
+  const std::uint64_t fires_before = site.fires();
+  fp.arm("socket.accept_emfile", "always");
+
+  sgm::util::TcpSocket conn = sgm::util::tcp_connect(stack.server->port());
+  conn.set_recv_timeout(5.0);
+  ASSERT_TRUE(conn.write_all(
+      "GET /healthz HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const double cpu_start = process_cpu_s();
+  sgm::util::WallTimer wall;
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu_s = process_cpu_s() - cpu_start;
+  const double wall_s = wall.elapsed_s();
+  const std::uint64_t fired = site.fires() - fires_before;
+  fp.disarm_all();
+
+  EXPECT_GE(fired, 1u) << "the reactor never tried to accept the client";
+  EXPECT_LT(cpu_s, 0.25 * wall_s)
+      << "reactor spun on the failing accept: " << cpu_s << " CPU-s in "
+      << wall_s << " s";
+  std::string leftover;
+  const std::string resp = read_one_response(conn, leftover);
+  EXPECT_EQ(response_status(resp), 200) << "pending client not served: "
+                                        << resp;
+}
+
+// A failed epoll registration is reported, never a silently dead fd. At
+// construction the server throws. For an accepted connection the socket is
+// closed at once (the client sees EOF or a reset, not a hang until the
+// idle cutoff) and the connection counts stay balanced, so a later stop()
+// has nothing to wait for.
+TEST_F(ServeTest, EpollRegistrationFailureThrowsOrClosesAtOnce) {
   ModelRegistry registry(root_);
   ServeMetrics metrics;
-  BatcherOptions bopt;
-  bopt.mode = QueueMode::kMutex;
-  InferenceBatcher batcher(registry, bopt, &metrics);
-  sgm::serve::HttpServerOptions hopt;  // io_mode defaults to kReactor
-  EXPECT_THROW(sgm::serve::HttpServer(registry, batcher, metrics, hopt),
-               std::invalid_argument);
+  InferenceBatcher batcher(registry, BatcherOptions{}, &metrics);
+  auto& fp = sgm::util::FailpointRegistry::instance();
 
-  // The same batcher works fine behind the thread-per-connection mode.
-  hopt.io_mode = IoMode::kThreads;
-  sgm::serve::HttpServer server(registry, batcher, metrics, hopt);
-  EXPECT_EQ(response_body(http_request(server.port(), "GET", "/healthz", "")),
-            "ok\n");
+  fp.arm("http.epoll_add", "once");
+  EXPECT_THROW(
+      { sgm::serve::HttpServer doomed(registry, batcher, metrics); },
+      std::runtime_error);
+  fp.disarm_all();
+
+  sgm::serve::HttpServer server(registry, batcher, metrics);
+  fp.arm("http.epoll_add", "once");
+  sgm::util::TcpSocket orphan = sgm::util::tcp_connect(server.port());
+  orphan.set_recv_timeout(5.0);
+  ASSERT_TRUE(orphan.write_all(
+      "GET /healthz HTTP/1.1\r\nHost: h\r\nConnection: keep-alive\r\n\r\n"));
+  sgm::util::WallTimer closed_after;
+  char buf[256];
+  EXPECT_LE(orphan.read_some(buf, sizeof(buf)), 0)
+      << "an unregistered connection must be closed, not served";
+  EXPECT_LT(closed_after.elapsed_s(), 2.0)
+      << "closed at once, not at the idle cutoff";
+  fp.disarm_all();
+
+  sgm::util::TcpSocket live = sgm::util::tcp_connect(server.port());
+  std::string leftover;
+  ASSERT_TRUE(live.write_all(
+      "GET /healthz HTTP/1.1\r\nHost: h\r\nConnection: keep-alive\r\n\r\n"));
+  ASSERT_EQ(response_status(read_one_response(live, leftover)), 200);
+  EXPECT_EQ(metrics.open_connections.load(), 1u)
+      << "only the live connection is open";
+
+  sgm::util::WallTimer stop_timer;
   server.stop();
+  EXPECT_LT(stop_timer.elapsed_s(), 1.0)
+      << "the drain waited on a connection that was never registered";
+  EXPECT_EQ(metrics.open_connections.load(), 0u);
   batcher.stop();
 }
 
+// stop() on both the server and the batcher is idempotent and safe to
+// race: every concurrent caller returns only after the one shutdown has
+// finished, so each sees the held connection already closed.
+TEST_F(ServeTest, StopIsIdempotentUnderConcurrentCallers) {
+  HttpStack stack(root_);
+  sgm::util::TcpSocket held = sgm::util::tcp_connect(stack.server->port());
+  std::string leftover;
+  ASSERT_TRUE(held.write_all(
+      "GET /healthz HTTP/1.1\r\nHost: h\r\nConnection: keep-alive\r\n\r\n"));
+  ASSERT_EQ(response_status(read_one_response(held, leftover)), 200);
+
+  std::atomic<int> returned_early{0};
+  std::vector<std::thread> stoppers;
+  for (int i = 0; i < 4; ++i) {
+    stoppers.emplace_back([&] {
+      stack.server->stop();
+      if (stack.metrics.open_connections.load() != 0) ++returned_early;
+      stack.batcher.stop();
+    });
+  }
+  for (auto& t : stoppers) t.join();
+  EXPECT_EQ(returned_early.load(), 0);
+  held.set_recv_timeout(5.0);
+  char b = 0;
+  EXPECT_LE(held.read_some(&b, 1), 0) << "stop() must close the connection";
+  EXPECT_THROW(stack.batcher.query("s", {0.0, 0.0}), std::runtime_error);
+  stack.server->stop();  // and again, after the fact
+}
 }  // namespace
