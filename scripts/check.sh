@@ -10,10 +10,12 @@
 # AND its incremental-refresh configuration at num_threads=1 and =4 and
 # asserts the histories are byte-identical.
 # --bench builds Release and runs the train-step benchmark, the
-# refresh-path benchmark and the serving-engine benchmark with
-# SGM_BENCH_JSON=1, leaving BENCH_train_step.json,
-# BENCH_incremental_refresh.json and BENCH_serve.json in the build dir
-# (the perf-smoke / serve-smoke CI jobs do the same; compare against
+# refresh-path benchmark, the SGM / SGM-S score-refresh benchmarks
+# (bench_overhead_sampling --benchmark_filter=BM_RefreshSgm) and the
+# serving-engine benchmark with SGM_BENCH_JSON=1, leaving
+# BENCH_train_step.json, BENCH_incremental_refresh.json,
+# BENCH_overhead_sampling.json and BENCH_serve.json in the build dir (the
+# perf-smoke / serve-smoke CI jobs do the same; compare against
 # bench/baselines/).
 # --lint runs the determinism lint (self-test first, then the tree) without
 # building anything. --asan builds with SGM_ASAN=ON into <build-dir>-asan and
@@ -81,6 +83,9 @@ if [[ "$TIER" == "bench" ]]; then
   echo "Wrote $BUILD_DIR/BENCH_train_step.json"
   (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_incremental_refresh)
   echo "Wrote $BUILD_DIR/BENCH_incremental_refresh.json"
+  (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_overhead_sampling \
+    --benchmark_filter=BM_RefreshSgm)
+  echo "Wrote $BUILD_DIR/BENCH_overhead_sampling.json"
   (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_serve)
   echo "Wrote $BUILD_DIR/BENCH_serve.json"
 elif [[ "$TIER" == "tidy" ]]; then

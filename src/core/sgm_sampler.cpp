@@ -16,6 +16,7 @@ SgmSampler::SgmSampler(const Matrix& points, const SgmOptions& options)
   if (opt_.num_threads) {
     opt_.pgm.num_threads = opt_.num_threads;
     opt_.lrd.num_threads = opt_.num_threads;
+    opt_.isr.y_knn.num_threads = opt_.num_threads;
   }
   util::WallTimer timer;
   if (opt_.incremental_refresh) {
@@ -156,6 +157,7 @@ std::vector<double> SgmSampler::representative_isr(
   graph::KnnGraphOptions kx;
   kx.k = std::min(opt_.isr_subset_k, reps.node.size() - 1);
   kx.weight = graph::KnnWeight::kInverse;
+  kx.num_threads = opt_.num_threads;
   graph::CsrGraph gx = graph::build_knn_graph(sub, kx);
 
   // ...output manifold = the current losses at those representatives (the

@@ -50,10 +50,11 @@ struct SgmOptions {
   /// weight (0 keeps the metric purely spatial).
   double rebuild_output_weight = 0.0;
   /// Worker threads for the S1/S2 rebuild (kNN queries, edge assembly, ER
-  /// embedding). Nonzero overrides pgm.num_threads / lrd.num_threads; 0
-  /// defers to them (whose own 0 means util::resolve_threads default, i.e.
-  /// hardware concurrency). 1 = serial; every value produces an identical
-  /// PGM and clustering for a fixed seed.
+  /// embedding) and the S3 kNN graphs. Nonzero overrides pgm.num_threads /
+  /// lrd.num_threads / isr.y_knn.num_threads; 0 defers to them (whose own
+  /// 0 means util::resolve_threads default, i.e. hardware concurrency).
+  /// 1 = serial; every value produces an identical PGM, clustering and
+  /// ISR score for a fixed seed.
   std::size_t num_threads = 0;
   std::uint64_t seed = 2024;
 

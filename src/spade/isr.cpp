@@ -5,8 +5,10 @@
 #include <functional>
 #include <stdexcept>
 
+#include "graph/envelope_cholesky.hpp"
 #include "graph/lanczos.hpp"
 #include "graph/laplacian.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace sgm::spade {
@@ -45,10 +47,22 @@ void b_orthonormalize(Matrix& v,
   }
 }
 
+void check_options(const IsrOptions& options) {
+  SGM_CHECK_ARG(options.rank >= 1, "compute_isr: rank must be >= 1, got ",
+                options.rank);
+  SGM_CHECK_ARG(options.subspace_iterations >= 1,
+                "compute_isr: subspace_iterations must be >= 1, got ",
+                options.subspace_iterations);
+  SGM_CHECK_ARG(std::isfinite(options.shift) && options.shift > 0.0,
+                "compute_isr: shift must be finite and > 0, got ",
+                options.shift);
+}
+
 }  // namespace
 
 IsrResult compute_isr_graphs(const CsrGraph& gx, const CsrGraph& gy,
                              const IsrOptions& options) {
+  check_options(options);
   if (gx.num_nodes() != gy.num_nodes())
     throw std::invalid_argument("compute_isr: graph size mismatch");
   const std::size_t n = gx.num_nodes();
@@ -57,13 +71,16 @@ IsrResult compute_isr_graphs(const CsrGraph& gx, const CsrGraph& gy,
   const int r =
       std::max(1, std::min<int>(options.rank, static_cast<int>(n) - 1));
 
-  // Regularized output Laplacian L_Y + shift*mean_deg*I so PCG solves are
-  // well posed even when G_Y is disconnected.
+  // Regularized output Laplacian L_Y + shift*mean_deg*I, nonsingular even
+  // when G_Y is disconnected, factored once for every solve below. A direct
+  // factor, not Jacobi-PCG: G_Y is a kNN graph over 1-D losses whose
+  // inverse-distance weights span many decades, and CG stalls on it.
   double mean_deg_y = 0.0;
   for (graph::NodeId u = 0; u < n; ++u) mean_deg_y += gy.weighted_degree(u);
   mean_deg_y /= static_cast<double>(n);
   const double shift =
       std::max(1e-12, options.shift * std::max(mean_deg_y, 1e-12));
+  const graph::EnvelopeCholesky ly_factor(gy, shift);
 
   auto apply_lx = [&gx](const Vec& x, Vec& y) {
     graph::laplacian_apply(gx, x, y);
@@ -72,8 +89,6 @@ IsrResult compute_isr_graphs(const CsrGraph& gx, const CsrGraph& gy,
     graph::laplacian_apply(gy, x, y);
     for (std::size_t i = 0; i < x.size(); ++i) y[i] += shift * x[i];
   };
-  Vec diag_y = graph::laplacian_diagonal(gy);
-  for (double& d : diag_y) d += shift;
 
   // --- Generalized subspace iteration for L_X v = lambda (L_Y + sI) v ---
   util::Rng rng(options.seed);
@@ -88,9 +103,8 @@ IsrResult compute_isr_graphs(const CsrGraph& gx, const CsrGraph& gy,
     for (int j = 0; j < r; ++j) {
       for (std::size_t i = 0; i < n; ++i) col[i] = v(i, j);
       apply_lx(col, w);
-      graph::PcgResult sol = graph::pcg_solve(apply_ly_shifted, diag_y, w,
-                                              options.pcg, /*deflate=*/false);
-      for (std::size_t i = 0; i < n; ++i) z(i, j) = sol.x[i];
+      ly_factor.solve(w, col);
+      for (std::size_t i = 0; i < n; ++i) z(i, j) = col[i];
     }
     b_orthonormalize(z, apply_ly_shifted);
 
@@ -105,7 +119,7 @@ IsrResult compute_isr_graphs(const CsrGraph& gx, const CsrGraph& gy,
         ar(i2, j) = s;
       }
     }
-    // Symmetrize away the numerical asymmetry from inexact solves.
+    // Symmetrize away the rounding asymmetry of the two-sided product.
     for (int a = 0; a < r; ++a)
       for (int b = a + 1; b < r; ++b) {
         const double s = 0.5 * (ar(a, b) + ar(b, a));
@@ -160,6 +174,9 @@ IsrResult compute_isr(const CsrGraph& gx, const Matrix& y,
                       const IsrOptions& options) {
   if (y.rows() != gx.num_nodes())
     throw std::invalid_argument("compute_isr: y rows != graph nodes");
+  for (std::size_t i = 0; i < y.size(); ++i)
+    SGM_CHECK_ARG(std::isfinite(y.data()[i]),
+                  "compute_isr: non-finite output at flat index ", i);
   CsrGraph gy = graph::build_knn_graph(y, options.y_knn);
   return compute_isr_graphs(gx, gy, options);
 }

@@ -20,18 +20,17 @@
 
 #include "graph/csr.hpp"
 #include "graph/knn.hpp"
-#include "graph/pcg.hpp"
 #include "tensor/matrix.hpp"
 
 namespace sgm::spade {
 
 struct IsrOptions {
-  int rank = 8;               ///< r: number of generalized eigenpairs
-  int subspace_iterations = 10;
+  int rank = 8;               ///< r: number of generalized eigenpairs (>= 1)
+  int subspace_iterations = 10;  ///< >= 1
   /// Relative diagonal shift added to L_Y before solving (regularizes the
-  /// singular Laplacian; expressed as a fraction of its mean degree).
+  /// singular Laplacian; expressed as a fraction of its mean degree). Must
+  /// be finite and > 0.
   double shift = 1e-4;
-  graph::PcgOptions pcg{1e-6, 500, 0.0};
   /// kNN configuration for the output graph G_Y built over Y rows.
   graph::KnnGraphOptions y_knn{};
   std::uint64_t seed = 99;
@@ -52,7 +51,9 @@ struct IsrResult {
 
 /// Scores stability of the map X -> Y where G_X is the (sub)graph over the
 /// scored samples and `y` holds the model outputs/losses per sample
-/// (n x m). G_Y is built internally as a kNN graph over rows of y.
+/// (n x m). G_Y is built internally as a kNN graph over rows of y. Throws
+/// std::invalid_argument for a non-finite entry of `y`, a rank or
+/// subspace_iterations below 1, or a shift that is not finite and > 0.
 IsrResult compute_isr(const graph::CsrGraph& gx, const tensor::Matrix& y,
                       const IsrOptions& options);
 

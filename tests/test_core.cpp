@@ -429,6 +429,37 @@ TEST(SgmSampler, IsrModeRuns) {
   EXPECT_EQ(batch.size(), 32u);
 }
 
+TEST(SgmSampler, IsrScoresIdenticalAtOneAndFourThreads) {
+  // num_threads reaches the S3 kNN builds (the representative subset graph
+  // and G_Y); like every other stage they are byte-identical at any count,
+  // so SGM-S scores and epochs must be too.
+  sgm::util::Rng cloud_rng(18);
+  const Matrix pts = random_cloud(1200, cloud_rng);
+  auto run = [&pts](std::size_t threads) {
+    SgmOptions opt = fast_options();
+    opt.use_isr = true;
+    opt.isr.rank = 4;
+    opt.isr.subspace_iterations = 3;
+    opt.num_threads = threads;
+    SgmSampler s(pts, opt);
+    auto eval = [&pts](const std::vector<std::uint32_t>& rows) {
+      std::vector<double> loss(rows.size());
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        loss[i] = std::exp(3.0 * pts(rows[i], 0)) + pts(rows[i], 1);
+      return loss;
+    };
+    sgm::util::Rng rng(19);
+    s.maybe_refresh(0, eval, rng);
+    return std::make_pair(s.last_scores(), s.next_batch(64, rng));
+  };
+  const auto [one, batch_one] = run(1);
+  const auto [four, batch_four] = run(4);
+  ASSERT_FALSE(one.mean_isr.empty());
+  EXPECT_EQ(one.mean_isr, four.mean_isr);
+  EXPECT_EQ(one.combined, four.combined);
+  EXPECT_EQ(batch_one, batch_four);
+}
+
 // --------------------------------------------------------- AsyncRebuilder --
 
 TEST(AsyncRebuilder, ProducesClusteringInBackground) {

@@ -1,11 +1,17 @@
 // Unit tests for sgm::graph core — CSR assembly, Laplacian operators, the
-// PCG solver and the eigensolvers (dense Jacobi + Lanczos).
+// PCG solver, the envelope Cholesky direct solver (with its reverse
+// Cuthill-McKee ordering) and the eigensolvers (dense Jacobi + Lanczos).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "graph/csr.hpp"
+#include "graph/envelope_cholesky.hpp"
+#include "graph/knn.hpp"
 #include "graph/lanczos.hpp"
 #include "graph/laplacian.hpp"
 #include "graph/pcg.hpp"
@@ -210,6 +216,172 @@ TEST(Pcg, ZeroRhsShortCircuits) {
   auto result = sgm::graph::pcg_solve_laplacian(g, Vec(5, 0.0));
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, 0);
+}
+
+// ------------------------------------------------------- EnvelopeCholesky --
+
+/// ||(L + shift*I) x - b|| / ||b|| with the dense Laplacian as reference.
+double dense_relative_residual(const CsrGraph& g, double shift, const Vec& x,
+                               const Vec& b) {
+  const Matrix a = sgm::graph::laplacian_dense(g);
+  Vec r(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    double s = shift * x[i] - b[i];
+    for (std::size_t j = 0; j < b.size(); ++j) s += a(i, j) * x[j];
+    r[i] = s;
+  }
+  return sgm::graph::norm2(r) / sgm::graph::norm2(b);
+}
+
+/// The shift compute_isr uses: a fraction of the mean weighted degree.
+double relative_shift(const CsrGraph& g, double fraction) {
+  double mean = 0.0;
+  for (sgm::graph::NodeId u = 0; u < g.num_nodes(); ++u)
+    mean += g.weighted_degree(u);
+  return fraction * mean / static_cast<double>(g.num_nodes());
+}
+
+Vec random_rhs(std::size_t n, sgm::util::Rng& rng) {
+  Vec b(n);
+  for (auto& v : b) v = rng.normal();
+  return b;
+}
+
+/// Largest |position(u) - position(v)| over the edges under `order`.
+std::size_t bandwidth(const CsrGraph& g,
+                      const std::vector<sgm::graph::NodeId>& order) {
+  std::vector<std::size_t> pos(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
+  std::size_t bw = 0;
+  for (const auto& e : g.edges())
+    bw = std::max(bw, pos[e.u] > pos[e.v] ? pos[e.u] - pos[e.v]
+                                          : pos[e.v] - pos[e.u]);
+  return bw;
+}
+
+bool is_permutation_of_nodes(const std::vector<sgm::graph::NodeId>& order,
+                             std::size_t n) {
+  std::vector<sgm::graph::NodeId> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<sgm::graph::NodeId> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return sorted == ids;
+}
+
+TEST(EnvelopeCholesky, MatchesDenseReferenceOnRandomKnnGraphs) {
+  // The ISR output graph is a kNN graph over 1-D losses; the input graphs
+  // live in 2-D. Inverse-distance weights make both badly scaled.
+  sgm::util::Rng rng(71);
+  for (std::size_t dim : {1u, 2u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::size_t n = 120 + 40 * trial;
+      Matrix pts(n, dim);
+      for (std::size_t i = 0; i < pts.size(); ++i)
+        pts.data()[i] = rng.uniform();
+      sgm::graph::KnnGraphOptions kopt;
+      kopt.k = 4 + trial;
+      const CsrGraph g = sgm::graph::build_knn_graph(pts, kopt);
+      for (double fraction : {1e-4, 1e-1}) {
+        const double shift = relative_shift(g, fraction);
+        const sgm::graph::EnvelopeCholesky f(g, shift);
+        ASSERT_EQ(f.size(), n);
+        const Vec b = random_rhs(n, rng);
+        Vec x;
+        f.solve(b, x);
+        EXPECT_LE(dense_relative_residual(g, shift, x, b), 1e-10)
+            << "dim " << dim << " n " << n << " shift fraction " << fraction;
+      }
+    }
+  }
+}
+
+TEST(EnvelopeCholesky, RcmIsADeterministicPermutationThatNarrowsThePath) {
+  // A path whose ids are shuffled has a wide band as numbered; RCM must
+  // recover a bandwidth-1 ordering, and the same one every time.
+  const std::uint32_t n = 64;
+  std::vector<std::uint32_t> label(n);
+  std::iota(label.begin(), label.end(), 0u);
+  sgm::util::Rng rng(72);
+  for (std::uint32_t i = n - 1; i > 0; --i)
+    std::swap(label[i], label[rng.uniform_index(i + 1)]);
+  std::vector<Edge> edges;
+  for (std::uint32_t i = 0; i + 1 < n; ++i)
+    edges.push_back({label[i], label[i + 1], 1.0});
+  const CsrGraph g = CsrGraph::from_edges(n, std::move(edges));
+  const auto order = sgm::graph::reverse_cuthill_mckee(g);
+  ASSERT_TRUE(is_permutation_of_nodes(order, n));
+  EXPECT_EQ(bandwidth(g, order), 1u);
+  EXPECT_EQ(order, sgm::graph::reverse_cuthill_mckee(g));
+  // A path's envelope is its n - 1 edges: no fill at all.
+  EXPECT_EQ(sgm::graph::EnvelopeCholesky(g, 1e-3).envelope_size(), n - 1);
+}
+
+TEST(EnvelopeCholesky, TiedValuesWidenTheBandButStillSolve) {
+  // More than k exactly tied 1-D values: every tied point's k nearest are
+  // at distance 0 (weight 1/eps), and the tie block is wider than k.
+  const std::size_t k = 4, n = 90;
+  Matrix y(n, 1);
+  for (std::size_t i = 0; i < n; ++i)
+    y(i, 0) = i % 3 == 0 ? 0.5 : static_cast<double>(i) / n;
+  sgm::graph::KnnGraphOptions kopt;
+  kopt.k = k;
+  const CsrGraph g = sgm::graph::build_knn_graph(y, kopt);
+  const auto order = sgm::graph::reverse_cuthill_mckee(g);
+  ASSERT_TRUE(is_permutation_of_nodes(order, n));
+  EXPECT_GT(bandwidth(g, order), k);
+  const double shift = relative_shift(g, 1e-4);
+  const sgm::graph::EnvelopeCholesky f(g, shift);
+  sgm::util::Rng rng(73);
+  const Vec b = random_rhs(n, rng);
+  Vec x;
+  f.solve(b, x);
+  EXPECT_LE(dense_relative_residual(g, shift, x, b), 1e-10);
+}
+
+TEST(EnvelopeCholesky, DisconnectedGraphAndIsolatedNodes) {
+  // Two 1-D clusters far apart (no kNN edge crosses) plus, separately, an
+  // edge list that leaves nodes isolated.
+  Matrix y(40, 1);
+  for (std::size_t i = 0; i < 40; ++i)
+    y(i, 0) = (i % 2 == 0 ? 0.0 : 100.0) + 0.01 * static_cast<double>(i);
+  sgm::graph::KnnGraphOptions kopt;
+  kopt.k = 3;
+  const CsrGraph two = sgm::graph::build_knn_graph(y, kopt);
+  ASSERT_EQ(two.connected_components().second, 2u);
+  const CsrGraph isolated =
+      CsrGraph::from_edges(7, {{1, 4, 2.0}, {4, 5, 0.5}, {0, 6, 3.0}});
+  sgm::util::Rng rng(74);
+  for (const CsrGraph* g : {&two, &isolated}) {
+    const auto order = sgm::graph::reverse_cuthill_mckee(*g);
+    ASSERT_TRUE(is_permutation_of_nodes(order, g->num_nodes()));
+    const double shift = relative_shift(*g, 1e-4);
+    const sgm::graph::EnvelopeCholesky f(*g, shift);
+    const Vec b = random_rhs(g->num_nodes(), rng);
+    Vec x;
+    f.solve(b, x);
+    EXPECT_LE(dense_relative_residual(*g, shift, x, b), 1e-10);
+  }
+  // An isolated node's row is just the shift.
+  Vec b(7, 0.0), x;
+  b[2] = 3.0;
+  sgm::graph::EnvelopeCholesky(isolated, 0.5).solve(b, x);
+  EXPECT_DOUBLE_EQ(x[2], 6.0);
+  EXPECT_DOUBLE_EQ(x[3], 0.0);
+}
+
+TEST(EnvelopeCholesky, RejectsBadShiftAndNonFinitePivots) {
+  const CsrGraph g = path_graph(6);
+  EXPECT_THROW(sgm::graph::EnvelopeCholesky(g, 0.0), std::invalid_argument);
+  EXPECT_THROW(sgm::graph::EnvelopeCholesky(g, -1.0), std::invalid_argument);
+  EXPECT_THROW(sgm::graph::EnvelopeCholesky(g, std::nan("")),
+               std::invalid_argument);
+  const CsrGraph inf_edge = CsrGraph::from_edges(
+      3, {{0, 1, 1.0}, {1, 2, std::numeric_limits<double>::infinity()}});
+  EXPECT_THROW(sgm::graph::EnvelopeCholesky(inf_edge, 1e-3),
+               std::invalid_argument);
+  const sgm::graph::EnvelopeCholesky f(g, 1e-3);
+  Vec x;
+  EXPECT_THROW(f.solve(Vec(5, 1.0), x), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- Eigen ----

@@ -822,6 +822,19 @@ TEST_F(ServeTest, HttpMethodAndVersionHandling) {
   EXPECT_EQ(response_body(resp), "ok\n");
 }
 
+/// Waits (at most 2 s) until the blocker threads hold every slot of the
+/// batcher. Probing only then means the HTTP query meets a full ring
+/// instead of racing a woken blocker for a slot just freed; without the
+/// wait a blocker that loses that race can keep losing it to the client,
+/// which then gets 200 on every attempt.
+void wait_until_full(const InferenceBatcher& batcher, std::uint64_t slots) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (batcher.in_flight() != slots &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
 // Backpressure end to end: a full batcher queue surfaces as HTTP 503 and
 // sgm_serve_rejected_total, not an unbounded queue or a hung connection.
 TEST_F(ServeTest, HttpQueueFullReturns503) {
@@ -855,6 +868,7 @@ TEST_F(ServeTest, HttpQueueFullReturns503) {
 
   bool saw_503 = false;
   for (int attempt = 0; attempt < 400 && !saw_503; ++attempt) {
+    wait_until_full(batcher, bopt.queue_capacity);
     const std::string resp =
         http_request(port, "POST", "/v1/query",
                      "{\"scenario\": \"s\", \"x\": [0.5, 0.5]}");
@@ -1048,11 +1062,12 @@ TEST_F(ServeTest, Http503RetryWithBackoffEventuallySucceeds) {
   }
 
   // Phase 1: drive until the saturated ring surfaces as a 503 with a
-  // Retry-After hint (200s are possible while the blockers race for
-  // freed slots — keep probing).
+  // Retry-After hint (a 200 is still possible when a batch flushes between
+  // the wait and the query — keep probing).
   const std::string body = "{\"scenario\": \"s\", \"x\": [0.5, 0.5]}";
   bool saw_503 = false;
   for (int attempt = 0; attempt < 400 && !saw_503; ++attempt) {
+    wait_until_full(batcher, bopt.queue_capacity);
     const std::string resp = http_request(port, "POST", "/v1/query", body);
     if (response_status(resp) == 503) {
       saw_503 = true;
