@@ -1,6 +1,7 @@
 // One full training step of the PINN engine — tape record, forward with
 // input-derivative propagation, backward, Adam update — swept over
-// (batch, width, depth, n_deriv, threads). This is the denominator of every
+// (batch, width, depth, n_deriv, threads), plus the Fourier-encoded 3-output
+// net of the gated workloads. This is the denominator of every
 // wall-clock result in the paper's tables, benchmarked in isolation from the
 // samplers so kernel/tape changes show up undiluted.
 //
@@ -15,9 +16,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "nn/encoding.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/ops.hpp"
@@ -37,21 +40,11 @@ tensor::Matrix random_batch(std::size_t rows, std::size_t cols,
   return x;
 }
 
-void BM_TrainStep(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto width = static_cast<std::size_t>(state.range(1));
-  const auto depth = static_cast<std::size_t>(state.range(2));
-  const int n_deriv = static_cast<int>(state.range(3));
-  const auto threads = static_cast<std::size_t>(state.range(4));
-
-  nn::MlpConfig cfg;
-  cfg.input_dim = 2;
-  cfg.output_dim = 1;
-  cfg.width = width;
-  cfg.depth = depth;
+void run_train_step(benchmark::State& state, const nn::MlpConfig& cfg,
+                    std::size_t batch, int n_deriv, std::size_t threads) {
   util::Rng rng(42);
   nn::Mlp net(cfg, rng);
-  const tensor::Matrix x = random_batch(batch, 2, rng);
+  const tensor::Matrix x = random_batch(batch, cfg.input_dim, rng);
   nn::Adam adam(1e-3);
   const std::vector<tensor::Matrix*> params = net.parameters();
 
@@ -82,6 +75,34 @@ void BM_TrainStep(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(net.num_parameters()));
 }
 
+void BM_TrainStep(benchmark::State& state) {
+  nn::MlpConfig cfg;
+  cfg.input_dim = 2;
+  cfg.output_dim = 1;
+  cfg.width = static_cast<std::size_t>(state.range(1));
+  cfg.depth = static_cast<std::size_t>(state.range(2));
+  run_train_step(state, cfg, static_cast<std::size_t>(state.range(0)),
+                 static_cast<int>(state.range(3)),
+                 static_cast<std::size_t>(state.range(4)));
+}
+
+// The net of the gated full-scale LDC and annular workloads: Fourier
+// features 2 -> 26 (12 frequencies), width 48, depth 4, 3 outputs. Its first
+// layer (26 rows of dW) and its 3-wide output layer run in the GEMM edge
+// paths, which the square configurations above never reach.
+void BM_TrainStepFourier3Out(benchmark::State& state) {
+  util::Rng enc_rng(4242);
+  nn::MlpConfig cfg;
+  cfg.input_dim = 2;
+  cfg.output_dim = 3;
+  cfg.width = 48;
+  cfg.depth = 4;
+  cfg.encoding = std::make_shared<nn::FourierEncoding>(2, 12, 1.5, enc_rng);
+  run_train_step(state, cfg, static_cast<std::size_t>(state.range(0)),
+                 static_cast<int>(state.range(1)),
+                 static_cast<std::size_t>(state.range(2)));
+}
+
 // args: {batch, width, depth, n_deriv, threads}
 BENCHMARK(BM_TrainStep)
     ->Args({512, 64, 4, 2, 1})    // lid-driven-cavity smoke configuration
@@ -93,6 +114,11 @@ BENCHMARK(BM_TrainStep)
     ->Args({2048, 64, 4, 2, 4})
     ->Args({512, 128, 4, 2, 1})
     ->Args({512, 64, 8, 2, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// args: {batch, n_deriv, threads}
+BENCHMARK(BM_TrainStepFourier3Out)
+    ->Args({128, 2, 1})  // ldc_sgm / annular_sgms step shape
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -56,8 +56,8 @@ Matrix Mlp::forward(const Matrix& x) const {
     for (std::size_t r = 0; r < z.rows(); ++r)
       for (std::size_t c = 0; c < z.cols(); ++c) z(r, c) += biases_[l](0, c);
     if (l + 1 < n_layers) {
-      for (std::size_t i = 0; i < z.size(); ++i)
-        z.data()[i] = cfg_.activation->eval(z.data()[i], 0);
+      double* zp = z.data();
+      cfg_.activation->eval_orders(zp, z.size(), 0, &zp);
     }
     a = std::move(z);
   }
@@ -92,10 +92,12 @@ void Mlp::forward_batched(const Matrix& x, Matrix& out, ForwardWorkspace& ws,
           for (std::size_t r = r0; r < r1; ++r) {
             double* row = dst.row(r);
             for (std::size_t c = 0; c < dst.cols(); ++c) row[c] += b(0, c);
-            if (!last) {
-              for (std::size_t c = 0; c < dst.cols(); ++c)
-                row[c] = act.eval(row[c], 0);
-            }
+          }
+          if (!last) {
+            // Rows [r0, r1) are contiguous: one array call per chunk, each
+            // element as forward() computes it.
+            double* chunk = dst.row(r0);
+            act.eval_orders(chunk, (r1 - r0) * dst.cols(), 0, &chunk);
           }
         });
     src = &dst;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "pinn/chunked_eval.hpp"
 #include "pinn/loss.hpp"
 #include "pinn/point_cloud.hpp"
 
@@ -179,14 +180,11 @@ VarId AnnularProblem::batch_loss(Tape& tape, const nn::Mlp& net,
 
 std::vector<double> AnnularProblem::pointwise_residual(
     const nn::Mlp& net, const std::vector<std::uint32_t>& rows) const {
-  Tape tape;
-  const nn::Mlp::Binding binding = net.bind(tape);
-  const Matrix batch = gather_rows(interior_, rows);
-  const VarId res_sq = residual_sq_on_tape(tape, net, binding, batch);
-  const Matrix& r = tape.value(res_sq);
-  std::vector<double> score(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) score[i] = r(i, 0);
-  return score;
+  return pointwise_scores(
+      net, interior_, rows,
+      [&](Tape& tape, const nn::Mlp::Binding& binding, const Matrix& batch) {
+        return residual_sq_on_tape(tape, net, binding, batch);
+      });
 }
 
 std::vector<ValidationEntry> AnnularProblem::validate_at(

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "cfd/analytic.hpp"
+#include "pinn/chunked_eval.hpp"
 #include "pinn/loss.hpp"
 #include "pinn/point_cloud.hpp"
 
@@ -95,14 +96,12 @@ VarId BurgersProblem::batch_loss(Tape& tape, const nn::Mlp& net,
 
 std::vector<double> BurgersProblem::pointwise_residual(
     const nn::Mlp& net, const std::vector<std::uint32_t>& rows) const {
-  Tape tape;
-  const nn::Mlp::Binding binding = net.bind(tape);
-  const Matrix batch = gather_rows(interior_, rows);
-  const VarId residual = residual_on_tape(tape, net, binding, batch);
-  const Matrix& r = tape.value(residual);
-  std::vector<double> score(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) score[i] = r(i, 0) * r(i, 0);
-  return score;
+  return pointwise_scores(
+      net, interior_, rows,
+      [&](Tape& tape, const nn::Mlp::Binding& binding, const Matrix& batch) {
+        return tensor::square(tape,
+                              residual_on_tape(tape, net, binding, batch));
+      });
 }
 
 std::vector<ValidationEntry> BurgersProblem::validate(

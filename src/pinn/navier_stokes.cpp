@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "pinn/chunked_eval.hpp"
 #include "pinn/geometry.hpp"
 #include "pinn/loss.hpp"
 #include "pinn/point_cloud.hpp"
@@ -162,14 +163,11 @@ VarId LdcProblem::batch_loss(Tape& tape, const nn::Mlp& net,
 
 std::vector<double> LdcProblem::pointwise_residual(
     const nn::Mlp& net, const std::vector<std::uint32_t>& rows) const {
-  Tape tape;
-  const nn::Mlp::Binding binding = net.bind(tape);
-  const Matrix batch = gather_rows(interior_, rows);
-  const BatchTerms terms = interior_terms(tape, net, binding, batch);
-  const Matrix& r = tape.value(terms.residual_sq_per_point);
-  std::vector<double> score(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) score[i] = r(i, 0);
-  return score;
+  return pointwise_scores(
+      net, interior_, rows,
+      [&](Tape& tape, const nn::Mlp::Binding& binding, const Matrix& batch) {
+        return interior_terms(tape, net, binding, batch).residual_sq_per_point;
+      });
 }
 
 std::vector<ValidationEntry> LdcProblem::validate(const nn::Mlp& net) const {
@@ -195,18 +193,32 @@ std::vector<ValidationEntry> LdcProblem::validate(const nn::Mlp& net) const {
   if (opt_.zero_equation) {
     // nu_t from the network's derivatives vs nu_t evaluated on the FD
     // reference velocity field (central differences at grid spacing).
+    // The network's velocity gradients, from n_deriv=2 tapes over row
+    // chunks; the sums below still run in grid order.
+    Matrix jac(grid.rows(), 4);  // u_x, v_x, u_y, v_y per grid point
+    for_each_row_chunk(
+        net, grid,
+        [&](Tape& tape, const nn::Mlp::Binding& binding, const Matrix& chunk,
+            std::size_t r0) {
+          const nn::Mlp::TapeOutputs tout =
+              net.forward_on_tape(tape, binding, chunk, /*n_deriv=*/2);
+          const Matrix& jx = tape.value(tout.dy[0]);
+          const Matrix& jy = tape.value(tout.dy[1]);
+          for (std::size_t i = 0; i < chunk.rows(); ++i) {
+            double* row = jac.row(r0 + i);
+            row[0] = jx(i, 0);
+            row[1] = jx(i, 1);
+            row[2] = jy(i, 0);
+            row[3] = jy(i, 1);
+          }
+        });
     double num_n = 0, den_n = 0;
     const double h = ref.h;
-    Tape tape2;
-    const nn::Mlp::Binding binding2 = net.bind(tape2);
-    auto tout2 = net.forward_on_tape(tape2, binding2, grid, /*n_deriv=*/2);
-    const Matrix& jx = tape2.value(tout2.dy[0]);
-    const Matrix& jy = tape2.value(tout2.dy[1]);
     for (std::size_t i = 0; i < grid.rows(); ++i) {
       const double x = grid(i, 0), y = grid(i, 1);
       // PINN nu_t.
-      const double ux = jx(i, 0), vx = jx(i, 1);
-      const double uy = jy(i, 0), vy = jy(i, 1);
+      const double ux = jac(i, 0), vx = jac(i, 1);
+      const double uy = jac(i, 2), vy = jac(i, 3);
       const double g_pred = 2 * (ux * ux + vy * vy) + (uy + vx) * (uy + vx);
       const double lm = mixing_length(unit_square_wall_distance(x, y),
                                       opt_.zero_eq);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "pinn/geometry.hpp"
+#include "pinn/chunked_eval.hpp"
 #include "pinn/loss.hpp"
 #include "pinn/point_cloud.hpp"
 
@@ -108,14 +109,12 @@ VarId ChipThermalProblem::batch_loss(Tape& tape, const nn::Mlp& net,
 
 std::vector<double> ChipThermalProblem::pointwise_residual(
     const nn::Mlp& net, const std::vector<std::uint32_t>& rows) const {
-  Tape tape;
-  const nn::Mlp::Binding binding = net.bind(tape);
-  const Matrix batch = gather_rows(interior_, rows);
-  const VarId residual = residual_on_tape(tape, net, binding, batch);
-  const Matrix& r = tape.value(residual);
-  std::vector<double> score(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) score[i] = r(i, 0) * r(i, 0);
-  return score;
+  return pointwise_scores(
+      net, interior_, rows,
+      [&](Tape& tape, const nn::Mlp::Binding& binding, const Matrix& batch) {
+        return tensor::square(tape,
+                              residual_on_tape(tape, net, binding, batch));
+      });
 }
 
 std::vector<ValidationEntry> ChipThermalProblem::validate(

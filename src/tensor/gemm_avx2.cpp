@@ -5,18 +5,19 @@
 //
 // The kernels are written with intrinsics because the generic loop nest in
 // gemm_kernels.inl defeats GCC's SLP vectorizer (scalar FMAs only). The
-// 4 x 8 accumulator tile is 8 ymm registers; every output element is one
-// ymm lane accumulated in strictly ascending p order, and tiles are
-// anchored at absolute row multiples of 4 (the row-chunk grain is a
-// multiple of the tile height), so results are bitwise identical however
-// the row range is split across threads.
-//
-// The scalar edge loops accumulate with std::fma (one vfmadd*sd here, since
-// this TU is compiled with -mfma) so that every element rounds exactly like
-// the fused vector tiles: an element's value must not depend on whether its
-// row landed in a full tile or an edge. A 1-row matrix is all edge; the same
-// row inside a 33-row batch is tiled — the serving engine's batched == single
-// equivalence tests (tests/test_serve.cpp) pin that both agree bitwise.
+// 4 x 8 accumulator tile is 8 ymm registers. The edges are vector blocks
+// of the same kind: the column edge (n % 8 columns) loads and stores its
+// one or two partial vectors with _mm256_maskload_pd/_mm256_maskstore_pd,
+// and the row edge (the 1-3 rows left over) is a shorter block. Every
+// output element is one ymm lane, a chain of vfmadd from +0.0 in strictly
+// ascending p, in every block, so an element's value never depends on
+// whether its row or column landed in a full tile or an edge, nor on how
+// the row range is split across threads. A 1-row matrix is all row edge;
+// the same row inside a 33-row batch is tiled. The serving engine's
+// batched == single equivalence tests (tests/test_serve.cpp) pin that both
+// agree bitwise. Because a chain from +0.0 never yields -0.0, an
+// accumulate=false store equals 0.0 + x into a zeroed C bit for bit (the
+// tape's write-first gradients rely on it).
 
 #include "tensor/gemm_dispatch.hpp"
 
@@ -34,8 +35,6 @@ bool gemm_avx2_compiled() {
 
 #include <immintrin.h>
 
-#include <cmath>
-
 namespace sgm::tensor::gemm_avx2 {
 
 namespace {
@@ -43,133 +42,106 @@ namespace {
 constexpr std::size_t kMR = 4;
 constexpr std::size_t kNR = 8;
 
-inline void store_vec(double* crow, __m256d lo, __m256d hi, bool accumulate) {
-  if (accumulate) {
-    lo = _mm256_add_pd(_mm256_loadu_pd(crow), lo);
-    hi = _mm256_add_pd(_mm256_loadu_pd(crow + 4), hi);
-  }
-  _mm256_storeu_pd(crow, lo);
-  _mm256_storeu_pd(crow + 4, hi);
+// Lanes [0, w) set, the others clear (w >= 4 sets all four).
+inline __m256i lane_mask(std::size_t w) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(w)),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
 }
 
-inline void store_scalar(double* c, double s, bool accumulate) {
-  if (accumulate)
-    *c += s;
+// Four doubles at p: all of them, or the lanes `m` selects (the others read
+// as 0.0 and their addresses are never touched).
+template <bool Full>
+inline __m256d load4(const double* p, __m256i m) {
+  if constexpr (Full)
+    return _mm256_loadu_pd(p);
   else
-    *c = s;
+    return _mm256_maskload_pd(p, m);
+}
+
+template <bool Full>
+inline void store4(double* p, __m256i m, __m256d v, bool accumulate) {
+  if (accumulate) v = _mm256_add_pd(load4<Full>(p, m), v);
+  if constexpr (Full)
+    _mm256_storeu_pd(p, v);
+  else
+    _mm256_maskstore_pd(p, m, v);
+}
+
+// One MR x (4 * NV) block of C at (i, j): C(i + ii, j + jj) (+)= sum_p
+// A(i + ii, p) * B(p, j + jj), where a_at(row, p) reads the left operand.
+// Full blocks load and store whole vectors; partial ones use the lane masks
+// m[0..NV) for the column edge. Every element is one ymm lane: an FMA chain
+// from +0.0 in ascending p.
+template <std::size_t MR, std::size_t NV, bool Full, class AAt>
+inline void block(const AAt& a_at, std::size_t k, const Matrix& b, Matrix& c,
+                  std::size_t i, std::size_t j, const __m256i* m,
+                  bool accumulate) {
+  __m256d acc[MR][NV];
+  for (std::size_t ii = 0; ii < MR; ++ii)
+    for (std::size_t v = 0; v < NV; ++v) acc[ii][v] = _mm256_setzero_pd();
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* brow = b.row(p) + j;
+    __m256d bv[NV];
+    for (std::size_t v = 0; v < NV; ++v) bv[v] = load4<Full>(brow + 4 * v, m[v]);
+    for (std::size_t ii = 0; ii < MR; ++ii) {
+      const __m256d av = _mm256_set1_pd(a_at(i + ii, p));
+      for (std::size_t v = 0; v < NV; ++v)
+        acc[ii][v] = _mm256_fmadd_pd(av, bv[v], acc[ii][v]);
+    }
+  }
+  for (std::size_t ii = 0; ii < MR; ++ii)
+    for (std::size_t v = 0; v < NV; ++v)
+      store4<Full>(c.row(i + ii) + j + 4 * v, m[v], acc[ii][v], accumulate);
+}
+
+// MR rows of C starting at row i: full 8-wide blocks, then the column edge
+// (n % 8 columns) as one masked block of one or two vectors.
+template <std::size_t MR, class AAt>
+inline void row_panel(const AAt& a_at, std::size_t k, const Matrix& b,
+                      Matrix& c, std::size_t i, const __m256i* edge,
+                      bool accumulate) {
+  const std::size_t n = b.cols();
+  std::size_t j = 0;
+  for (; j + kNR <= n; j += kNR)
+    block<MR, 2, true>(a_at, k, b, c, i, j, edge, accumulate);
+  const std::size_t w = n - j;
+  if (w > 4)
+    block<MR, 2, false>(a_at, k, b, c, i, j, edge, accumulate);
+  else if (w > 0)
+    block<MR, 1, false>(a_at, k, b, c, i, j, edge, accumulate);
+}
+
+// C rows [r0, r1): panels of 4 rows, then the 1-3 leftover rows as one
+// shorter panel.
+template <class AAt>
+void gemm_range(const AAt& a_at, std::size_t k, const Matrix& b, Matrix& c,
+                std::size_t r0, std::size_t r1, bool accumulate) {
+  const std::size_t w = b.cols() % kNR;
+  const __m256i edge[2] = {lane_mask(w), lane_mask(w > 4 ? w - 4 : 0)};
+  std::size_t i = r0;
+  for (; i + kMR <= r1; i += kMR)
+    row_panel<kMR>(a_at, k, b, c, i, edge, accumulate);
+  switch (r1 - i) {
+    case 3: row_panel<3>(a_at, k, b, c, i, edge, accumulate); break;
+    case 2: row_panel<2>(a_at, k, b, c, i, edge, accumulate); break;
+    case 1: row_panel<1>(a_at, k, b, c, i, edge, accumulate); break;
+    default: break;
+  }
 }
 
 }  // namespace
 
 void gemm_nn_range(const Matrix& a, const Matrix& b, Matrix& c,
                    std::size_t r0, std::size_t r1, bool accumulate) {
-  const std::size_t k = a.cols(), n = b.cols();
-  std::size_t i = r0;
-  for (; i + kMR <= r1; i += kMR) {
-    const double* a0 = a.row(i);
-    const double* a1 = a.row(i + 1);
-    const double* a2 = a.row(i + 2);
-    const double* a3 = a.row(i + 3);
-    std::size_t j = 0;
-    for (; j + kNR <= n; j += kNR) {
-      __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-      __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-      __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
-      __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* brow = b.row(p) + j;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        __m256d av = _mm256_set1_pd(a0[p]);
-        c00 = _mm256_fmadd_pd(av, b0, c00);
-        c01 = _mm256_fmadd_pd(av, b1, c01);
-        av = _mm256_set1_pd(a1[p]);
-        c10 = _mm256_fmadd_pd(av, b0, c10);
-        c11 = _mm256_fmadd_pd(av, b1, c11);
-        av = _mm256_set1_pd(a2[p]);
-        c20 = _mm256_fmadd_pd(av, b0, c20);
-        c21 = _mm256_fmadd_pd(av, b1, c21);
-        av = _mm256_set1_pd(a3[p]);
-        c30 = _mm256_fmadd_pd(av, b0, c30);
-        c31 = _mm256_fmadd_pd(av, b1, c31);
-      }
-      store_vec(c.row(i) + j, c00, c01, accumulate);
-      store_vec(c.row(i + 1) + j, c10, c11, accumulate);
-      store_vec(c.row(i + 2) + j, c20, c21, accumulate);
-      store_vec(c.row(i + 3) + j, c30, c31, accumulate);
-    }
-    for (; j < n; ++j) {  // column edge, p-ascending fused per element
-      const double* ar[kMR] = {a0, a1, a2, a3};
-      for (std::size_t ii = 0; ii < kMR; ++ii) {
-        double s = 0.0;
-        for (std::size_t p = 0; p < k; ++p)
-          s = std::fma(ar[ii][p], b.row(p)[j], s);
-        store_scalar(&c(i + ii, j), s, accumulate);
-      }
-    }
-  }
-  for (; i < r1; ++i) {  // row edge
-    const double* arow = a.row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p)
-        s = std::fma(arow[p], b.row(p)[j], s);
-      store_scalar(&c(i, j), s, accumulate);
-    }
-  }
+  gemm_range([&a](std::size_t r, std::size_t p) { return a.row(r)[p]; },
+             a.cols(), b, c, r0, r1, accumulate);
 }
 
+// C = A^T * B: row r of C reads column r of A.
 void gemm_tn_range(const Matrix& a, const Matrix& b, Matrix& c,
                    std::size_t r0, std::size_t r1, bool accumulate) {
-  const std::size_t k = a.rows(), n = b.cols();
-  std::size_t i = r0;
-  for (; i + kMR <= r1; i += kMR) {
-    std::size_t j = 0;
-    for (; j + kNR <= n; j += kNR) {
-      __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-      __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-      __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
-      __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* arow = a.row(p) + i;
-        const double* brow = b.row(p) + j;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        __m256d av = _mm256_set1_pd(arow[0]);
-        c00 = _mm256_fmadd_pd(av, b0, c00);
-        c01 = _mm256_fmadd_pd(av, b1, c01);
-        av = _mm256_set1_pd(arow[1]);
-        c10 = _mm256_fmadd_pd(av, b0, c10);
-        c11 = _mm256_fmadd_pd(av, b1, c11);
-        av = _mm256_set1_pd(arow[2]);
-        c20 = _mm256_fmadd_pd(av, b0, c20);
-        c21 = _mm256_fmadd_pd(av, b1, c21);
-        av = _mm256_set1_pd(arow[3]);
-        c30 = _mm256_fmadd_pd(av, b0, c30);
-        c31 = _mm256_fmadd_pd(av, b1, c31);
-      }
-      store_vec(c.row(i) + j, c00, c01, accumulate);
-      store_vec(c.row(i + 1) + j, c10, c11, accumulate);
-      store_vec(c.row(i + 2) + j, c20, c21, accumulate);
-      store_vec(c.row(i + 3) + j, c30, c31, accumulate);
-    }
-    for (; j < n; ++j) {
-      for (std::size_t ii = 0; ii < kMR; ++ii) {
-        double s = 0.0;
-        for (std::size_t p = 0; p < k; ++p)
-          s = std::fma(a.row(p)[i + ii], b.row(p)[j], s);
-        store_scalar(&c(i + ii, j), s, accumulate);
-      }
-    }
-  }
-  for (; i < r1; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p)
-        s = std::fma(a.row(p)[i], b.row(p)[j], s);
-      store_scalar(&c(i, j), s, accumulate);
-    }
-  }
+  gemm_range([&a](std::size_t r, std::size_t p) { return a.row(p)[r]; },
+             a.rows(), b, c, r0, r1, accumulate);
 }
 
 void gemm_nt_range(const Matrix& a, const Matrix& b, Matrix& c,

@@ -5,6 +5,15 @@
 
 namespace sgm::tensor {
 
+void ElementwiseFunction::eval_orders(const double* x, std::size_t n,
+                                      int max_order,
+                                      double* const* out) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double xi = x[i];  // read before out[0] (which may alias x)
+    for (int k = 0; k <= max_order; ++k) out[k][i] = eval(xi, k);
+  }
+}
+
 namespace {
 
 void check_same_shape(const Tape& t, VarId a, VarId b, const char* op) {
@@ -14,29 +23,35 @@ void check_same_shape(const Tape& t, VarId a, VarId b, const char* op) {
 
 // -------------------------------------------------------- backward helpers
 
+// grad(in) (+)= term(i) for every element i, write-first: the node's first
+// contribution of the sweep stores term(i) + 0.0, the bits 0.0 + term(i)
+// into a zeroed buffer gave (-0.0 becomes +0.0); later ones accumulate.
+template <class Term>
+void elementwise_grad(Tape& t, VarId in, const Term& term) {
+  if (in == kNoVar || !t.requires_grad(in)) return;
+  bool first = false;
+  double* o = t.grad_out(in, first).data();
+  t.parallel_range(t.value(in).size(), Tape::kElemGrain,
+                   [&](std::size_t b, std::size_t e) {
+                     if (first) {
+                       for (std::size_t i = b; i < e; ++i) o[i] = term(i) + 0.0;
+                     } else {
+                       for (std::size_t i = b; i < e; ++i) o[i] += term(i);
+                     }
+                   });
+}
+
 // grad(in) += alpha * g.
 void axpy_grad(Tape& t, VarId in, const Matrix& g, double alpha) {
-  if (in == kNoVar || !t.requires_grad(in)) return;
-  Matrix& gb = t.grad_buf(in);
   const double* gp = g.data();
-  double* o = gb.data();
-  t.parallel_range(g.size(), Tape::kElemGrain,
-                   [&](std::size_t b, std::size_t e) {
-                     for (std::size_t i = b; i < e; ++i) o[i] += alpha * gp[i];
-                   });
+  elementwise_grad(t, in, [&](std::size_t i) { return alpha * gp[i]; });
 }
 
 // grad(in) += g ⊙ other.
 void prod_grad(Tape& t, VarId in, const Matrix& g, const Matrix& other) {
-  if (in == kNoVar || !t.requires_grad(in)) return;
-  Matrix& gb = t.grad_buf(in);
   const double* gp = g.data();
   const double* op = other.data();
-  double* o = gb.data();
-  t.parallel_range(g.size(), Tape::kElemGrain,
-                   [&](std::size_t b, std::size_t e) {
-                     for (std::size_t i = b; i < e; ++i) o[i] += gp[i] * op[i];
-                   });
+  elementwise_grad(t, in, [&](std::size_t i) { return gp[i] * op[i]; });
 }
 
 // grad(bias) (1 x d) += column sums of g. Serial: d is a network width and
@@ -51,7 +66,8 @@ void colsum_grad(Tape& t, VarId bias, const Matrix& g) {
   }
 }
 
-// grad(a) += g · value(b)^T, threaded over the rows of grad(a). The right
+// grad(a) (+)= g · value(b)^T, threaded over the rows of grad(a); the first
+// contribution stores (accumulate=false, see grad_out). The right
 // operand is transposed once into the op node's pooled scratch so the
 // product runs through the fast NN kernel instead of the strided NT shape.
 void matmul_grad_left(Tape& t, TapeNode& n, VarId a, const Matrix& g,
@@ -59,20 +75,22 @@ void matmul_grad_left(Tape& t, TapeNode& n, VarId a, const Matrix& g,
   if (!t.requires_grad(a)) return;
   Matrix& bt = n.aux[0];
   transpose_into(bv, bt);
-  Matrix& ga = t.grad_buf(a);
+  bool first = false;
+  Matrix& ga = t.grad_out(a, first);
   t.parallel_range(ga.rows(), Tape::kRowGrain,
                    [&](std::size_t b, std::size_t e) {
-                     gemm_nn(g, bt, ga, b, e, /*accumulate=*/true);
+                     gemm_nn(g, bt, ga, b, e, /*accumulate=*/!first);
                    });
 }
 
-// grad(b) += value(a)^T · g, threaded over the rows of grad(b).
+// grad(b) (+)= value(a)^T · g, threaded over the rows of grad(b).
 void matmul_grad_right(Tape& t, VarId b, const Matrix& av, const Matrix& g) {
   if (!t.requires_grad(b)) return;
-  Matrix& gb = t.grad_buf(b);
+  bool first = false;
+  Matrix& gb = t.grad_out(b, first);
   t.parallel_range(gb.rows(), Tape::kRowGrain,
                    [&](std::size_t rb, std::size_t re) {
-                     gemm_tn(av, g, gb, rb, re, /*accumulate=*/true);
+                     gemm_tn(av, g, gb, rb, re, /*accumulate=*/!first);
                    });
 }
 
@@ -262,20 +280,14 @@ VarId activation(Tape& t, VarId z, const ElementwiseFunction& f, int orders) {
   n.value.resize(zv.rows(), zv.cols());
   for (int k = 0; k < orders; ++k) n.aux[k].resize(zv.rows(), zv.cols());
   const double* zp = zv.data();
-  double* out0 = n.value.data();
-  double* out1 = n.aux[0].data();
-  double* out2 = orders >= 2 ? n.aux[1].data() : nullptr;
-  double* out3 = orders >= 3 ? n.aux[2].data() : nullptr;
+  double* const outs[4] = {n.value.data(), n.aux[0].data(),
+                           orders >= 2 ? n.aux[1].data() : nullptr,
+                           orders >= 3 ? n.aux[2].data() : nullptr};
   t.parallel_range(zv.size(), Tape::kElemGrain,
                    [&](std::size_t b0, std::size_t e) {
-                     double buf[4];
-                     for (std::size_t i = b0; i < e; ++i) {
-                       f.eval_orders(zp[i], orders, buf);
-                       out0[i] = buf[0];
-                       out1[i] = buf[1];
-                       if (out2) out2[i] = buf[2];
-                       if (out3) out3[i] = buf[3];
-                     }
+                     double* o[4] = {};
+                     for (int k = 0; k <= orders; ++k) o[k] = outs[k] + b0;
+                     f.eval_orders(zp + b0, e - b0, orders, o);
                    });
   return id;
 }
@@ -464,20 +476,13 @@ void backward_node(Tape& t, VarId id) {
       colsum_grad(t, n.in[1], g);
       break;
     case Op::kApply: {
-      const VarId a = n.in[0];
-      if (!t.requires_grad(a)) break;
-      const Matrix& av = t.value(a);
-      Matrix& ga = t.grad_buf(a);
       const ElementwiseFunction* f = n.fn;
       const int next = n.order + 1;
-      const double* ap = av.data();
+      const double* ap = t.value(n.in[0]).data();
       const double* gp = g.data();
-      double* o = ga.data();
-      t.parallel_range(g.size(), Tape::kElemGrain,
-                       [&](std::size_t b, std::size_t e) {
-                         for (std::size_t i = b; i < e; ++i)
-                           o[i] += gp[i] * f->eval(ap[i], next);
-                       });
+      elementwise_grad(t, n.in[0], [&](std::size_t i) {
+        return gp[i] * f->eval(ap[i], next);
+      });
       break;
     }
     case Op::kActivation:
@@ -487,70 +492,37 @@ void backward_node(Tape& t, VarId id) {
     case Op::kActChain: {
       // value = f'(z) ⊙ zk.
       const TapeNode& act = t.node(n.ref);
-      const VarId z = n.in[0], zk = n.in[1];
-      const Matrix& zkv = t.value(zk);
-      if (t.requires_grad(z)) {
-        Matrix& gz = t.grad_buf(z);
-        const double* s2p = act.aux[1].data();
-        const double* zkp = zkv.data();
-        const double* gp = g.data();
-        double* o = gz.data();
-        t.parallel_range(g.size(), Tape::kElemGrain,
-                         [&](std::size_t b, std::size_t e) {
-                           for (std::size_t i = b; i < e; ++i)
-                             o[i] += gp[i] * s2p[i] * zkp[i];
-                         });
-      }
-      prod_grad(t, zk, g, act.aux[0]);
+      const double* gp = g.data();
+      const double* s2p = act.aux[1].data();
+      const double* zkp = t.value(n.in[1]).data();
+      elementwise_grad(t, n.in[0], [&](std::size_t i) {
+        return gp[i] * s2p[i] * zkp[i];
+      });
+      prod_grad(t, n.in[1], g, act.aux[0]);
       break;
     }
     case Op::kActCurve: {
       // value = f''(z) ⊙ zk² + f'(z) ⊙ hzk.
       const TapeNode& act = t.node(n.ref);
-      const VarId z = n.in[0], zk = n.in[1], hzk = n.in[2];
-      const Matrix& zkv = t.value(zk);
-      const Matrix& hzkv = t.value(hzk);
       const double* gp = g.data();
-      if (t.requires_grad(z)) {
-        Matrix& gz = t.grad_buf(z);
-        const double* s2p = act.aux[1].data();
-        const double* s3p = act.aux[2].data();
-        const double* zkp = zkv.data();
-        const double* hp = hzkv.data();
-        double* o = gz.data();
-        t.parallel_range(
-            g.size(), Tape::kElemGrain, [&](std::size_t b, std::size_t e) {
-              for (std::size_t i = b; i < e; ++i)
-                o[i] += gp[i] * (s3p[i] * zkp[i] * zkp[i] + s2p[i] * hp[i]);
-            });
-      }
-      if (t.requires_grad(zk)) {
-        Matrix& gzk = t.grad_buf(zk);
-        const double* s2p = act.aux[1].data();
-        const double* zkp = zkv.data();
-        double* o = gzk.data();
-        t.parallel_range(g.size(), Tape::kElemGrain,
-                         [&](std::size_t b, std::size_t e) {
-                           for (std::size_t i = b; i < e; ++i)
-                             o[i] += 2.0 * gp[i] * s2p[i] * zkp[i];
-                         });
-      }
-      prod_grad(t, hzk, g, act.aux[0]);
+      const double* s2p = act.aux[1].data();
+      const double* s3p = act.aux[2].data();
+      const double* zkp = t.value(n.in[1]).data();
+      const double* hp = t.value(n.in[2]).data();
+      elementwise_grad(t, n.in[0], [&](std::size_t i) {
+        return gp[i] * (s3p[i] * zkp[i] * zkp[i] + s2p[i] * hp[i]);
+      });
+      elementwise_grad(t, n.in[1], [&](std::size_t i) {
+        return 2.0 * gp[i] * s2p[i] * zkp[i];
+      });
+      prod_grad(t, n.in[2], g, act.aux[0]);
       break;
     }
     case Op::kSquare: {
-      const VarId a = n.in[0];
-      if (!t.requires_grad(a)) break;
-      const Matrix& av = t.value(a);
-      Matrix& ga = t.grad_buf(a);
-      const double* ap = av.data();
+      const double* ap = t.value(n.in[0]).data();
       const double* gp = g.data();
-      double* o = ga.data();
-      t.parallel_range(g.size(), Tape::kElemGrain,
-                       [&](std::size_t b, std::size_t e) {
-                         for (std::size_t i = b; i < e; ++i)
-                           o[i] += 2.0 * gp[i] * ap[i];
-                       });
+      elementwise_grad(t, n.in[0],
+                       [&](std::size_t i) { return 2.0 * gp[i] * ap[i]; });
       break;
     }
     case Op::kCol: {
@@ -563,29 +535,15 @@ void backward_node(Tape& t, VarId id) {
     }
     case Op::kMeanAll:
     case Op::kSumAll: {
-      const VarId a = n.in[0];
-      if (!t.requires_grad(a)) break;
-      Matrix& ga = t.grad_buf(a);
       const double gv = g(0, 0) * n.scalar;
-      double* o = ga.data();
-      t.parallel_range(ga.size(), Tape::kElemGrain,
-                       [&](std::size_t b, std::size_t e) {
-                         for (std::size_t i = b; i < e; ++i) o[i] += gv;
-                       });
+      elementwise_grad(t, n.in[0], [gv](std::size_t) { return gv; });
       break;
     }
     case Op::kWeightedMean: {
-      const VarId a = n.in[0];
-      if (!t.requires_grad(a)) break;
-      Matrix& ga = t.grad_buf(a);
       const double gv = g(0, 0) * n.scalar;
       const double* wp = n.aux[0].data();
-      double* o = ga.data();
-      t.parallel_range(ga.size(), Tape::kElemGrain,
-                       [&](std::size_t b, std::size_t e) {
-                         for (std::size_t i = b; i < e; ++i)
-                           o[i] += gv * wp[i];
-                       });
+      elementwise_grad(t, n.in[0],
+                       [&](std::size_t i) { return gv * wp[i]; });
       break;
     }
     case Op::kHcat: {

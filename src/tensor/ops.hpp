@@ -21,12 +21,14 @@ class ElementwiseFunction {
   /// d^order f / dx^order at x.
   virtual double eval(double x, int order) const = 0;
 
-  /// Fills out[k] = d^k f / dx^k for k = 0..max_order in one call, letting
-  /// implementations share subexpressions (e.g. a single logistic() for the
-  /// whole SiLU derivative ladder). The default just loops eval().
-  virtual void eval_orders(double x, int max_order, double* out) const {
-    for (int k = 0; k <= max_order; ++k) out[k] = eval(x, k);
-  }
+  /// The derivative ladder over an array: out[k][i] = d^k f / dx^k at x[i]
+  /// for i < n and k = 0..max_order (max_order <= 3), equal bit for bit to
+  /// eval(x[i], k). out[0] may alias x. One call per chunk lets
+  /// implementations share subexpressions (a single exp per element for
+  /// the whole SiLU ladder) and evaluate the ladder branch-free over the
+  /// array. The default loops eval().
+  virtual void eval_orders(const double* x, std::size_t n, int max_order,
+                           double* const* out) const;
 };
 
 /// c = a + b (same shape).
@@ -59,8 +61,8 @@ VarId affine(Tape& t, VarId a, VarId w, VarId b);
 VarId apply(Tape& t, VarId a, const ElementwiseFunction& f, int order = 0);
 
 /// Fused activation sweep: value = f(z), with f', ..., f^(orders) recorded
-/// as auxiliary buffers in the SAME single pass over z (one eval_orders call
-/// per element). orders must be 1..3: backward of the value needs f'; the
+/// as auxiliary buffers in the SAME sweep over z (one array eval_orders
+/// call per chunk). orders must be 1..3: backward of the value needs f'; the
 /// act_chain / act_curve consumers additionally need f''/f''' (orders >= 2
 /// and 3 respectively). Returns the value node.
 VarId activation(Tape& t, VarId z, const ElementwiseFunction& f, int orders);
@@ -96,7 +98,7 @@ VarId hcat(Tape& t, VarId a, VarId b);
 namespace detail {
 /// Op-enum dispatch of the vector-Jacobian products; called by
 /// Tape::backward() for every grad-bearing non-leaf node, in reverse
-/// topological order. Accumulates into the inputs' grad_buf()s.
+/// topological order. Writes or accumulates into the inputs' gradients.
 void backward_node(Tape& t, VarId id);
 }  // namespace detail
 

@@ -62,14 +62,21 @@ const Matrix& Tape::grad(VarId id) const {
   return n.grad_set ? n.grad : kEmpty;
 }
 
-Matrix& Tape::grad_buf(VarId id) {
+Matrix& Tape::grad_out(VarId id, bool& first) {
   TapeNode& n = pool_[id];
-  if (!n.grad_set) {
+  first = !n.grad_set;
+  if (first) {
     n.grad.resize(n.value.rows(), n.value.cols());
-    n.grad.set_zero();
     n.grad_set = true;
   }
   return n.grad;
+}
+
+Matrix& Tape::grad_buf(VarId id) {
+  bool first = false;
+  Matrix& g = grad_out(id, first);
+  if (first) g.set_zero();
+  return g;
 }
 
 void Tape::backward(VarId root) {

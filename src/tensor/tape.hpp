@@ -18,6 +18,15 @@
 //    ZERO heap allocations in steady state (asserted by tests; input
 //    encodings other than identity still stage their encode() outputs
 //    outside the arena);
+//  * gradients are write-first: a kernel that writes every element of an
+//    input's gradient stores on the node's first contribution of the sweep
+//    instead of accumulating into a zero-filled buffer (grad_out). GEMMs
+//    store with accumulate=false (an FMA chain from +0.0 is never -0.0, so
+//    that equals 0.0 + x); elementwise kernels store x + 0.0, which turns
+//    -0.0 into +0.0 exactly as 0.0 + x did. Only partial writers (kCol,
+//    bias column sums, kHcat) still zero-fill (grad_buf);
+//  * activations evaluate their derivative ladder once per chunk through
+//    the array ElementwiseFunction::eval_orders, not per element;
 //  * kernels are threaded over row/element chunks via util::ThreadPool.
 //    Every threaded kernel writes disjoint output elements and keeps each
 //    element's floating-point accumulation order fixed, and reductions run
@@ -132,8 +141,15 @@ class Tape {
   TapeNode& node(VarId id) { return pool_[id]; }
   const TapeNode& node(VarId id) const { return pool_[id]; }
 
-  /// Gradient buffer of `id`, shaped like its value and zero-filled on the
-  /// first touch of this backward sweep; kernels accumulate into it.
+  /// Gradient buffer of `id` for a kernel that writes EVERY element of it.
+  /// `first` is set when this is the node's first contribution of the
+  /// backward sweep: the buffer is then shaped like the value but not
+  /// filled, and the kernel must store instead of accumulate (write-first).
+  Matrix& grad_out(VarId id, bool& first);
+
+  /// Gradient buffer of `id`, zero-filled on the first touch of this
+  /// backward sweep, for kernels that accumulate into only part of it
+  /// (kCol, the bias column sums, kHcat).
   Matrix& grad_buf(VarId id);
 
   /// Chunked loop over [0, n): fn(begin, end). Runs inline when serial or

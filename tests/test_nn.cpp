@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/encoding.hpp"
@@ -48,6 +51,46 @@ INSTANTIATE_TEST_SUITE_P(
                       &sgm::nn::sigmoid_act(), &sgm::nn::sine_act(),
                       &sgm::nn::identity_act()),
     [](const auto& info) { return info.param->name(); });
+
+TEST_P(ActivationDerivatives, ArrayLadderMatchesScalarEvalBitwise) {
+  // The array form the tape and the forward passes call once per chunk
+  // must give, element by element and order by order, what eval(x, k)
+  // gives. n = 2 * 256 + 37 is odd (not a multiple of any vector width)
+  // and spans the activations' 256-element staging blocks; the special
+  // inputs cover signed zeros, denormal-range, saturation and overflow of
+  // exp, and NaN.
+  const auto& act = *GetParam();
+  std::vector<double> x = {0.0,    -0.0,  1e-300, -1e-300, 20.0,  -20.0,
+                           40.0,   -40.0, 710.0,  -710.0,  800.0, -800.0,
+                           std::nan("")};
+  sgm::util::Rng rng(5);
+  while (x.size() < 2 * 256 + 37) x.push_back(rng.normal(0.0, 3.0));
+  const std::size_t n = x.size();
+  auto same = [](double scalar, double array) {
+    if (std::isnan(scalar)) return std::isnan(array);
+    return std::bit_cast<std::uint64_t>(scalar) ==
+           std::bit_cast<std::uint64_t>(array);
+  };
+  for (int max_order = 0; max_order <= 3; ++max_order) {
+    std::vector<std::vector<double>> out(4, std::vector<double>(n, -1.0));
+    double* const o[4] = {out[0].data(), out[1].data(), out[2].data(),
+                          out[3].data()};
+    act.eval_orders(x.data(), n, max_order, o);
+    for (int k = 0; k <= max_order; ++k)
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_TRUE(same(act.eval(x[i], k), out[k][i]))
+            << act.name() << " order " << k << " of " << max_order
+            << " at x=" << x[i] << ": " << act.eval(x[i], k) << " vs "
+            << out[k][i];
+  }
+  // In place (out[0] aliasing x), as Mlp::forward calls it.
+  std::vector<double> y = x;
+  double* yp = y.data();
+  act.eval_orders(yp, n, 0, &yp);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_TRUE(same(act.eval(x[i], 0), y[i]))
+        << act.name() << " in place at x=" << x[i];
+}
 
 TEST(Activation, LookupByName) {
   EXPECT_EQ(sgm::nn::activation_by_name("silu").name(), "silu");

@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "cfd/analytic.hpp"
 #include "nn/mlp.hpp"
 #include "pinn/annular.hpp"
+#include "pinn/chunked_eval.hpp"
 #include "pinn/geometry.hpp"
 #include "pinn/loss.hpp"
 #include "pinn/navier_stokes.hpp"
@@ -405,6 +408,36 @@ TEST(Validation, FormatAndLookup) {
   EXPECT_EQ(sgm::pinn::format_validation(v), "u=0.5 v=0.25");
   EXPECT_DOUBLE_EQ(sgm::pinn::validation_error(v, "v"), 0.25);
   EXPECT_TRUE(std::isinf(sgm::pinn::validation_error(v, "zzz")));
+}
+
+// ------------------------------------------------------- chunked scoring --
+
+TEST(ChunkedScoring, EachScoreEqualsThatRowScoredAlone) {
+  // 2 * chunk + 3 rows run through two full chunks and a 3-row one on one
+  // reused tape; every score must equal that row scored on its own tape
+  // bit for bit (the GEMM per-row contract).
+  const std::size_t n = 2 * sgm::pinn::kEvalChunkRows + 3;
+  for (const char* name : {"ldc_zeroeq", "annular_ring_param"}) {
+    const auto cfg = sgm::pinn::ScenarioRegistry::instance().make(
+        name, sgm::pinn::ScenarioScale::kSmoke);
+    sgm::util::Rng rng(cfg.net_seed);
+    const Mlp net(cfg.net, rng);
+    const std::size_t points = cfg.problem->interior_points().rows();
+    ASSERT_GE(points, n) << name;
+    std::vector<std::uint32_t> rows(n);
+    for (std::size_t i = 0; i < n; ++i)
+      rows[i] = static_cast<std::uint32_t>((i * 7) % points);
+    const std::vector<double> scores =
+        cfg.problem->pointwise_residual(net, rows);
+    ASSERT_EQ(scores.size(), n) << name;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<double> alone =
+          cfg.problem->pointwise_residual(net, {rows[i]});
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scores[i]),
+                std::bit_cast<std::uint64_t>(alone[0]))
+          << name << " row " << i << ": " << scores[i] << " vs " << alone[0];
+    }
+  }
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -112,6 +114,40 @@ TEST(TapeArena, GradOfUntouchedNodeIsEmptyAfterReuse) {
   t.backward(root);
   EXPECT_TRUE(t.grad(c).empty()) << "stale grad leaked through slot reuse";
   EXPECT_DOUBLE_EQ(t.grad(p2)(0, 0), 3.0);
+}
+
+TEST(TapeArena, FirstGradientContributionOfMinusZeroEndsAtPlusZero) {
+  // Write-first gradients store term + 0.0 on a node's first contribution,
+  // so a -0.0 term still lands as +0.0, exactly as 0.0 + term into a
+  // zero-filled buffer did. A later -0.0 contribution keeps the +0.0.
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Tape t;
+  const VarId p = t.parameter(Matrix{{1.0, 2.0, 3.0}});
+  const VarId c = t.constant(Matrix{{-0.0, 0.0, 5.0}});
+  // d/dp of sum(p ⊙ c) is c (kMul); d/dh of sum(h ⊙ c) is c, and h's
+  // first contribution comes from that product.
+  const VarId h = ops::scale(t, p, 2.0);
+  const VarId root = ops::add(t, ops::sum_all(t, ops::mul(t, p, c)),
+                              ops::sum_all(t, ops::mul(t, h, c)));
+  t.backward(root);
+  const Matrix& gh = t.grad(h);
+  EXPECT_EQ(bits(gh(0, 0)), bits(0.0)) << "first contribution -0.0";
+  EXPECT_EQ(bits(gh(0, 1)), bits(0.0));
+  EXPECT_EQ(bits(gh(0, 2)), bits(5.0));
+  // p gets the kMul term first (-0.0 -> +0.0), then 2.0 * grad(h).
+  const Matrix& gp = t.grad(p);
+  EXPECT_EQ(bits(gp(0, 0)), bits(0.0));
+  EXPECT_EQ(bits(gp(0, 2)), bits(15.0));
+
+  // A lone scale by -1 of a +0.0 gradient: the term is -0.0, stored +0.0.
+  Tape t2;
+  const VarId q = t2.parameter(Matrix{{4.0, -4.0}});
+  const VarId z = t2.constant(Matrix{{0.0, 0.0}});
+  const VarId root2 =
+      ops::sum_all(t2, ops::mul(t2, ops::scale(t2, q, -1.0), z));
+  t2.backward(root2);
+  EXPECT_EQ(bits(t2.grad(q)(0, 0)), bits(0.0));
+  EXPECT_EQ(bits(t2.grad(q)(0, 1)), bits(0.0));
 }
 
 TEST(TapeArena, SteadyStateTrainingStepAllocatesNothing) {

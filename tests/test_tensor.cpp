@@ -329,64 +329,125 @@ bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-TEST(GemmContraction, RowEdgeRoundingIsUniformAndPinned) {
-  // A 1-row matmul runs entirely in the scalar row-edge path, whichever
-  // kernel build dispatch selected.
-  constexpr std::size_t kK = 64, kN = 3;
-  sgm::util::Rng rng(17);
-  Matrix a = random_matrix(1, kK, rng);
-  Matrix b = random_matrix(kK, kN, rng);
-  Matrix c = sgm::tensor::matmul(a, b);
+// C = A * B (nn) or C = A^T * B (tn) over all of C's rows.
+void gemm_all(bool tn, const Matrix& a, const Matrix& b, Matrix& c,
+              bool accumulate) {
+  if (tn)
+    sgm::tensor::gemm_tn(a, b, c, 0, c.rows(), accumulate);
+  else
+    sgm::tensor::gemm_nn(a, b, c, 0, c.rows(), accumulate);
+}
 
+// An accumulate=false store must equal 0.0 + x into a zeroed C, and an
+// accumulate=true call into c0 must equal c0 + x, element by element.
+void expect_stores_pinned(bool tn, const Matrix& a, const Matrix& b,
+                          const Matrix& stored, sgm::util::Rng& rng) {
+  Matrix zeroed(stored.rows(), stored.cols());
+  gemm_all(tn, a, b, zeroed, /*accumulate=*/true);
+  const Matrix c0 = random_matrix(stored.rows(), stored.cols(), rng);
+  Matrix acc = c0;
+  gemm_all(tn, a, b, acc, /*accumulate=*/true);
+  for (std::size_t i = 0; i < stored.rows(); ++i)
+    for (std::size_t j = 0; j < stored.cols(); ++j) {
+      EXPECT_TRUE(bits_equal(stored(i, j), zeroed(i, j)))
+          << (tn ? "tn" : "nn") << " " << stored.rows() << "x"
+          << stored.cols() << " (" << i << ", " << j
+          << "): accumulate=false differs from 0.0 + x";
+      EXPECT_TRUE(bits_equal(acc(i, j), c0(i, j) + stored(i, j)))
+          << (tn ? "tn" : "nn") << " " << stored.rows() << "x"
+          << stored.cols() << " (" << i << ", " << j
+          << "): accumulate=true differs from c0 + x";
+    }
+}
+
+TEST(GemmContraction, RowEdgeRoundingIsUniformAndPinned) {
+  // A C with 1-3 rows runs entirely in the row-edge path, and widths 1-7
+  // and 9-15 add the column edge (alone, and beside a full 8-wide tile),
+  // whichever kernel build dispatch selected; for C = A * B and
+  // C = A^T * B.
+  constexpr std::size_t kK = 64;
+  sgm::util::Rng rng(17);
   bool some_element_is_fma_sensitive = false;
   bool all_plain = true, all_fused = true;
-  for (std::size_t j = 0; j < kN; ++j) {
-    double plain = 0.0;  // separate rounding: mul rounds, then add rounds
-    double fused = 0.0;  // contracted: each step rounds once, via std::fma
-    for (std::size_t p = 0; p < kK; ++p) {
-      const double prod = a(0, p) * b(p, j);
-      plain += prod;
-      fused = std::fma(a(0, p), b(p, j), fused);
+  for (const bool tn : {false, true}) {
+    for (std::size_t rows = 1; rows <= 3; ++rows) {
+      for (std::size_t n = 1; n <= 15; ++n) {
+        if (n == 8) continue;
+        const Matrix a =
+            tn ? random_matrix(kK, rows, rng) : random_matrix(rows, kK, rng);
+        const Matrix b = random_matrix(kK, n, rng);
+        Matrix c(rows, n);
+        gemm_all(tn, a, b, c, /*accumulate=*/false);
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double plain = 0.0;  // separate rounding: mul, then add
+            double fused = 0.0;  // contracted: one rounding per std::fma
+            for (std::size_t p = 0; p < kK; ++p) {
+              const double av = tn ? a(p, i) : a(i, p);
+              const double prod = av * b(p, j);
+              plain += prod;
+              fused = std::fma(av, b(p, j), fused);
+            }
+            if (!bits_equal(plain, fused)) some_element_is_fma_sensitive = true;
+            if (!bits_equal(c(i, j), plain)) all_plain = false;
+            if (!bits_equal(c(i, j), fused)) all_fused = false;
+          }
+        }
+        expect_stores_pinned(tn, a, b, c, rng);
+      }
     }
-    if (!bits_equal(plain, fused)) some_element_is_fma_sensitive = true;
-    if (!bits_equal(c(0, j), plain)) all_plain = false;
-    if (!bits_equal(c(0, j), fused)) all_fused = false;
   }
   // The inputs must actually distinguish the two roundings, or the check
   // below proves nothing.
   ASSERT_TRUE(some_element_is_fma_sensitive);
   // One regime, uniformly: every element matches the separate-rounding
   // reference, or every element matches the std::fma chain bitwise. A blend
-  // means the compiler contracted only part of the edge loop — the
-  // determinism contract is broken and the kernel flags need attention.
+  // means the compiler contracted only part of an edge path, or an edge
+  // rounds unlike the others: the determinism contract is broken.
   EXPECT_TRUE(all_plain || all_fused)
-      << "edge path mixes contracted and separate rounding "
+      << "edge paths mix contracted and separate rounding "
       << "(gemm_avx2_active=" << sgm::tensor::gemm_avx2_active() << ")";
   // The two regimes disagree on at least one element, so exactly one holds.
   EXPECT_NE(all_plain, all_fused);
+  // The AVX2 build fuses every step, in its tiles and its masked edges.
+  if (sgm::tensor::gemm_avx2_active()) {
+    EXPECT_TRUE(all_fused);
+  }
 }
 
 TEST(GemmContraction, TileAndEdgePathsAgreeBitwise) {
-  // Five identical rows: rows 0-3 run through the register-blocked tile
-  // path, row 4 through the scalar row edge; 11 columns exercise the
-  // column-edge path too (8-wide tile + 3-wide edge). Any rounding
-  // difference between paths (e.g. contraction in just one of them) breaks
-  // the bitwise equality.
-  constexpr std::size_t kK = 37, kN = 11, kRows = 5;
+  // 5-7 identical rows of C: rows 0-3 run through the register-blocked tile
+  // path, the 1-3 left over through the row edge; widths 1-15 put columns
+  // in full 8-wide tiles and in the column edge. Every row must equal the
+  // same row computed alone (a 1-row C is all row edge). Any rounding
+  // difference between paths breaks the bitwise equality. For C = A^T * B
+  // the identical rows of C are identical columns of A.
+  constexpr std::size_t kK = 37;
   sgm::util::Rng rng(23);
-  Matrix row = random_matrix(1, kK, rng);
-  Matrix b = random_matrix(kK, kN, rng);
-  Matrix a(kRows, kK);
-  for (std::size_t i = 0; i < kRows; ++i)
-    for (std::size_t p = 0; p < kK; ++p) a(i, p) = row(0, p);
+  for (const bool tn : {false, true}) {
+    for (std::size_t rows = 5; rows <= 7; ++rows) {
+      for (std::size_t n = 1; n <= 15; ++n) {
+        const Matrix line = random_matrix(1, kK, rng);
+        const Matrix b = random_matrix(kK, n, rng);
+        Matrix a = tn ? Matrix(kK, rows) : Matrix(rows, kK);
+        for (std::size_t i = 0; i < rows; ++i)
+          for (std::size_t p = 0; p < kK; ++p)
+            (tn ? a(p, i) : a(i, p)) = line(0, p);
+        const Matrix single_a = tn ? sgm::tensor::transpose(line) : line;
 
-  Matrix c = sgm::tensor::matmul(a, b);
-  Matrix c_single = sgm::tensor::matmul(row, b);
-  for (std::size_t i = 0; i < kRows; ++i)
-    for (std::size_t j = 0; j < kN; ++j)
-      EXPECT_TRUE(bits_equal(c(i, j), c_single(0, j)))
-          << "row " << i << " col " << j
-          << " rounds differently from the single-row edge path";
+        Matrix c(rows, n), c_single(1, n);
+        gemm_all(tn, a, b, c, /*accumulate=*/false);
+        gemm_all(tn, single_a, b, c_single, /*accumulate=*/false);
+        for (std::size_t i = 0; i < rows; ++i)
+          for (std::size_t j = 0; j < n; ++j)
+            EXPECT_TRUE(bits_equal(c(i, j), c_single(0, j)))
+                << (tn ? "tn" : "nn") << " " << rows << "x" << n << " row "
+                << i << " col " << j
+                << " rounds differently from the single-row edge path";
+        expect_stores_pinned(tn, a, b, c, rng);
+      }
+    }
+  }
 }
 
 TEST(GemmContraction, Avx2DispatchConsistent) {
