@@ -9,7 +9,8 @@
 # regression harness (label tier2), which trains every scenario's SGM arm
 # AND its incremental-refresh configuration at num_threads=1 and =4 and
 # asserts the histories are byte-identical.
-# --bench builds Release and runs the train-step benchmark, the
+# --bench builds Release and runs the train-step benchmark (5 repetitions
+# per row, aggregates only: compare its medians, not one sweep), the
 # refresh-path benchmark, the SGM / SGM-S score-refresh benchmarks
 # (bench_overhead_sampling --benchmark_filter=BM_RefreshSgm) and the
 # serving-engine benchmark with SGM_BENCH_JSON=1, leaving
@@ -79,7 +80,8 @@ if [[ "$TIER" == "bench" ]]; then
     echo "bench_train_step not built (Google Benchmark missing?)" >&2
     exit 1
   fi
-  (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_train_step)
+  (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_train_step \
+    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true)
   echo "Wrote $BUILD_DIR/BENCH_train_step.json"
   (cd "$BUILD_DIR" && SGM_BENCH_JSON=1 ./bench_incremental_refresh)
   echo "Wrote $BUILD_DIR/BENCH_incremental_refresh.json"

@@ -45,8 +45,8 @@ std::size_t Mlp::num_parameters() const {
 Matrix Mlp::forward(const Matrix& x) const {
   Matrix a;
   if (cfg_.encoding) {
-    std::vector<Matrix> de, d2e;
-    cfg_.encoding->encode(x, 0, a, de, d2e);
+    Matrix scratch;
+    cfg_.encoding->encode(x, 0, 0, {&a, nullptr, nullptr, &scratch});
   } else {
     a = x;
   }
@@ -71,7 +71,8 @@ void Mlp::forward_batched(const Matrix& x, Matrix& out, ForwardWorkspace& ws,
   const std::size_t n = x.rows();
   const Matrix* src = &x;
   if (cfg_.encoding) {
-    cfg_.encoding->encode(x, 0, ws.e, ws.de, ws.d2e);
+    cfg_.encoding->encode(x, 0, 0,
+                          {&ws.e, nullptr, nullptr, &ws.encode_scratch});
     src = &ws.e;
   }
   const Activation& act = *cfg_.activation;
@@ -118,81 +119,76 @@ void Mlp::bind(Tape& tape, Binding* binding) const {
 }
 
 Mlp::TapeOutputs Mlp::forward_on_tape(Tape& tape, const Binding& binding,
-                                      const Matrix& x, int n_deriv) const {
+                                      const Matrix& x, int n_deriv,
+                                      int n_lap) const {
   TapeOutputs out;
-  forward_on_tape(tape, binding, x, n_deriv, &out);
+  forward_on_tape(tape, binding, x, n_deriv, n_lap, &out);
   return out;
 }
 
 void Mlp::forward_on_tape(Tape& tape, const Binding& binding, const Matrix& x,
-                          int n_deriv, TapeOutputs* out) const {
+                          int n_deriv, int n_lap, TapeOutputs* out) const {
   if (x.cols() != cfg_.input_dim)
     throw std::invalid_argument("Mlp::forward_on_tape: input width mismatch");
   if (n_deriv < 0 || static_cast<std::size_t>(n_deriv) > cfg_.input_dim ||
       n_deriv > kMaxDeriv)
     throw std::invalid_argument("Mlp::forward_on_tape: bad n_deriv");
+  if (n_lap < 0 || n_lap > n_deriv)
+    throw std::invalid_argument("Mlp::forward_on_tape: bad n_lap");
 
-  // Encoded inputs and their spatial derivatives are constants on the tape.
-  // The identity path writes them straight into the arena (no staging
-  // matrices), which keeps the steady-state step allocation-free.
-  VarId a = tensor::kNoVar;
-  std::array<VarId, kMaxDeriv> ak{}, hk{};
-  if (!cfg_.encoding) {
-    a = tape.constant(x);
-    for (int k = 0; k < n_deriv; ++k) {
-      ak[k] = tape.constant_uninit(x.rows(), x.cols());
-      Matrix& dv = tape.mutable_value(ak[k]);
-      dv.set_zero();
-      for (std::size_t r = 0; r < dv.rows(); ++r)
-        dv(r, static_cast<std::size_t>(k)) = 1.0;
-      hk[k] = tape.constant_uninit(x.rows(), x.cols());
-      tape.mutable_value(hk[k]).set_zero();
-    }
-  } else {
-    Matrix e;
-    std::vector<Matrix> de, d2e;
-    cfg_.encoding->encode(x, n_deriv, e, de, d2e);
-    a = tape.constant(e);
-    for (int k = 0; k < n_deriv; ++k) {
-      ak[k] = tape.constant(de[k]);
-      hk[k] = tape.constant(d2e[k]);
-    }
-  }
+  // Encoded inputs and their spatial derivatives are constants on the tape,
+  // encoded straight into arena slots (no staging matrices). Every slot is
+  // allocated before any is written: allocation may move the node pool.
+  static const IdentityEncoding kIdentity;
+  const InputEncoding& enc = cfg_.encoding ? *cfg_.encoding : kIdentity;
+  VarId a = tape.constant_uninit(0, 0);
+  std::array<VarId, kMaxDeriv> ak{};
+  for (int k = 0; k < n_deriv; ++k) ak[k] = tape.constant_uninit(0, 0);
+  VarId lap = n_lap > 0 ? tape.constant_uninit(0, 0) : tensor::kNoVar;
+  const VarId scratch = tape.constant_uninit(0, 0);
+  std::array<Matrix*, kMaxDeriv> de{};
+  for (int k = 0; k < n_deriv; ++k) de[k] = &tape.mutable_value(ak[k]);
+  enc.encode(x, n_deriv, n_lap,
+             {&tape.mutable_value(a), de.data(),
+              n_lap > 0 ? &tape.mutable_value(lap) : nullptr,
+              &tape.mutable_value(scratch)});
 
   const Activation& act = *cfg_.activation;
   const std::size_t n_layers = weights_.size();
   for (std::size_t l = 0; l < n_layers; ++l) {
     const bool last = (l + 1 == n_layers);
-    const VarId z = tensor::affine(tape, a, binding.w[l], binding.b[l]);
-    std::array<VarId, kMaxDeriv> zk{}, hzk{};
+    const VarId w = binding.w[l];
+    const VarId z = tensor::affine(tape, a, w, binding.b[l]);
+    // Recorded as z, Z_0, LZ, Z_1, ...: a gradient sums its contributions
+    // in reverse recording order, and this order keeps an n_lap = 1 pass
+    // bitwise equal to per-dimension Hessian-diagonal propagation.
+    std::array<VarId, kMaxDeriv> zk{};
+    VarId lz = tensor::kNoVar;
     for (int k = 0; k < n_deriv; ++k) {
-      zk[k] = tensor::matmul(tape, ak[k], binding.w[l]);
-      hzk[k] = tensor::matmul(tape, hk[k], binding.w[l]);
+      zk[k] = tensor::matmul(tape, ak[k], w);
+      if (k == 0 && n_lap > 0) lz = tensor::matmul(tape, lap, w);
     }
     if (last) {
       a = z;
       ak = zk;
-      hk = hzk;
+      lap = lz;
     } else {
       // One fused sweep gives sigma and every derivative order the layer
-      // update and its backward need (3 when propagating derivatives).
-      const VarId s =
-          tensor::activation(tape, z, act, /*orders=*/n_deriv > 0 ? 3 : 1);
+      // update and its backward need.
+      const int orders = n_lap > 0 ? 3 : n_deriv > 0 ? 2 : 1;
+      const VarId s = tensor::activation(tape, z, act, orders);
       a = s;
-      for (int k = 0; k < n_deriv; ++k) {
-        hk[k] = tensor::act_curve(tape, s, zk[k], hzk[k]);
+      if (n_lap > 0)
+        lap = tensor::act_laplacian(
+            tape, s, std::span<const VarId>(zk.data(), n_lap), lz);
+      for (int k = 0; k < n_deriv; ++k)
         ak[k] = tensor::act_chain(tape, s, zk[k]);
-      }
     }
   }
 
   out->y = a;
-  out->dy.clear();
-  out->d2y.clear();
-  for (int k = 0; k < n_deriv; ++k) {
-    out->dy.push_back(ak[k]);
-    out->d2y.push_back(hk[k]);
-  }
+  out->dy.assign(ak.begin(), ak.begin() + n_deriv);
+  out->lap = lap;
 }
 
 std::vector<Matrix> Mlp::collect_grads(const Tape& tape,

@@ -1,24 +1,29 @@
 #pragma once
 // Fully-connected network (Eq. 2 of the paper) with tape-recorded forward
-// passes that additionally propagate first and second derivatives of the
-// outputs w.r.t. selected input dimensions.
+// passes that additionally propagate first derivatives of the outputs
+// w.r.t. selected input dimensions and their Laplacian.
 //
 // How second-order PDE terms are differentiated w.r.t. the weights: the
-// extended forward pass carries, per input dimension k, the Jacobian column
-// A_k = da/dx_k and the Hessian diagonal H_k = d2a/dx_k^2 through each layer
-// using only tape ops (matmul, elementwise sigma/sigma'/sigma'', products).
-// The chain rule per hidden layer (z = a W + b, a' = sigma(z)) is:
-//   Z_k  = A_k W          Hz_k = H_k W
+// extended forward pass carries, per input dimension k < n_deriv, the
+// Jacobian column A_k = da/dx_k, plus ONE Laplacian stream
+// L = sum_{k < n_lap} d2a/dx_k^2 (the "forward Laplacian": every
+// registered PDE reads second derivatives only through such a sum, or, for
+// Burgers, through the single term n_lap = 1 gives). Everything is an
+// ordinary tape op. The chain rule per hidden layer (z = a W + b,
+// a' = sigma(z)) is:
+//   Z_k = A_k W          LZ = L W
 //   A'_k = sigma'(z) . Z_k
-//   H'_k = sigma''(z) . Z_k^2 + sigma'(z) . Hz_k
-// Because these are ordinary tape ops, a single reverse sweep yields
-// d(loss)/d(theta) even when the loss involves u_xx, u_yy, etc.
+//   L'   = sigma''(z) . sum_{k < n_lap} Z_k^2 + sigma'(z) . LZ
+// so a single reverse sweep yields d(loss)/d(theta) even when the loss
+// involves u_xx + u_yy. With n_deriv = 2 and n_lap = 2 a layer runs four
+// same-weight GEMMs (z, Z_0, Z_1, LZ) in forward, dX and dW alike, against
+// five for per-dimension Hessian-diagonal streams.
 //
 // The recording uses the tape's fused ops: z is one affine node, the whole
 // sigma/sigma'/sigma''(/sigma''' for backward) ladder is ONE activation
-// sweep over z, and the A'_k / H'_k updates are single act_chain /
-// act_curve nodes — so a hidden layer with n_deriv=2 costs 1 affine +
-// 4 matmul + 1 activation + 4 fused elementwise nodes.
+// sweep over z, each A'_k is one act_chain node and L' is one
+// act_laplacian node — so a hidden layer with n_deriv = n_lap = 2 costs
+// 1 affine + 3 matmul + 1 activation + 3 fused elementwise nodes.
 
 #include <memory>
 #include <vector>
@@ -55,8 +60,7 @@ class Mlp {
   /// calls, so the serving steady state allocates nothing).
   struct ForwardWorkspace {
     tensor::Matrix a, z;
-    tensor::Matrix e;
-    std::vector<tensor::Matrix> de, d2e;  ///< encoding scratch (unused)
+    tensor::Matrix e, encode_scratch;  ///< encoded batch and its workspace
   };
 
   /// Inference forward of batch `x` (n x input_dim) into `out`
@@ -73,8 +77,8 @@ class Mlp {
                        ForwardWorkspace& ws, std::size_t num_threads = 1)
       const;
 
-  /// Derivative propagation is carried in fixed-size per-dimension arrays;
-  /// n_deriv beyond this throws (the PDE problems use at most 3 dims).
+  /// Jacobian propagation is carried in fixed-size per-dimension arrays;
+  /// n_deriv beyond this throws (the PDE problems use at most 2 dims).
   static constexpr int kMaxDeriv = 8;
 
   /// Parameter VarIds after binding this network's weights onto a tape.
@@ -89,20 +93,26 @@ class Mlp {
   void bind(tensor::Tape& tape, Binding* binding) const;
 
   struct TapeOutputs {
-    tensor::VarId y = tensor::kNoVar;       ///< n x output_dim
-    std::vector<tensor::VarId> dy;          ///< dy[k]  = d y / d x_k
-    std::vector<tensor::VarId> d2y;         ///< d2y[k] = d^2 y / d x_k^2
+    tensor::VarId y = tensor::kNoVar;    ///< n x output_dim
+    std::vector<tensor::VarId> dy;       ///< dy[k] = d y / d x_k
+    /// sum_{k < n_lap} d^2 y / d x_k^2; kNoVar when n_lap = 0.
+    tensor::VarId lap = tensor::kNoVar;
   };
 
   /// Records the forward pass of batch `x` (n x input_dim) on `tape`,
-  /// propagating derivatives for the first `n_deriv` input dimensions
-  /// (0 => plain forward). Parameter gradients flow through `binding`.
+  /// propagating Jacobian columns for the first `n_deriv` input dimensions
+  /// and the Laplacian over the first `n_lap` of them
+  /// (0 <= n_lap <= n_deriv, else std::invalid_argument; n_deriv = 0 is a
+  /// plain forward). Parameter gradients flow through `binding`.
   TapeOutputs forward_on_tape(tensor::Tape& tape, const Binding& binding,
-                              const tensor::Matrix& x, int n_deriv) const;
+                              const tensor::Matrix& x, int n_deriv,
+                              int n_lap) const;
 
   /// Reuse-friendly overload writing into `out` (vectors reused in place).
+  /// The encoded inputs go straight into the tape's constant slots, so a
+  /// steady-state step allocates nothing.
   void forward_on_tape(tensor::Tape& tape, const Binding& binding,
-                       const tensor::Matrix& x, int n_deriv,
+                       const tensor::Matrix& x, int n_deriv, int n_lap,
                        TapeOutputs* out) const;
 
   /// Copies gradients of the bound parameters out of the tape after

@@ -80,7 +80,8 @@ VarId AnnularProblem::residual_sq_on_tape(Tape& tape, const nn::Mlp& net,
                                           const nn::Mlp::Binding& binding,
                                           const Matrix& batch) const {
   // Derivatives w.r.t. dims 0 (z) and 1 (r); dim 2 (r_i) is a parameter.
-  auto out = net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2);
+  auto out =
+      net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2, /*n_lap=*/2);
 
   const VarId u = tensor::col(tape, out.y, 0);
   const VarId v = tensor::col(tape, out.y, 1);
@@ -90,10 +91,8 @@ VarId AnnularProblem::residual_sq_on_tape(Tape& tape, const nn::Mlp& net,
   const VarId vr = tensor::col(tape, out.dy[1], 1);
   const VarId pz = tensor::col(tape, out.dy[0], 2);
   const VarId pr = tensor::col(tape, out.dy[1], 2);
-  const VarId uzz = tensor::col(tape, out.d2y[0], 0);
-  const VarId urr = tensor::col(tape, out.d2y[1], 0);
-  const VarId vzz = tensor::col(tape, out.d2y[0], 1);
-  const VarId vrr = tensor::col(tape, out.d2y[1], 1);
+  const VarId lap_zr_u = tensor::col(tape, out.lap, 0);  // u_zz + u_rr
+  const VarId lap_zr_v = tensor::col(tape, out.lap, 1);  // v_zz + v_rr
 
   // Constant per-point 1/r and 1/r^2 columns.
   Matrix inv_r(batch.rows(), 1), inv_r2(batch.rows(), 1);
@@ -112,8 +111,8 @@ VarId AnnularProblem::residual_sq_on_tape(Tape& tape, const nn::Mlp& net,
   // momentum-z: u u_z + v u_r + p_z - nu (u_zz + u_rr + u_r / r)
   const VarId conv_u = tensor::add(tape, tensor::mul(tape, u, uz),
                                    tensor::mul(tape, v, ur));
-  const VarId lap_u = tensor::add(tape, tensor::add(tape, uzz, urr),
-                                  tensor::mul(tape, ur, c_inv_r));
+  const VarId lap_u =
+      tensor::add(tape, lap_zr_u, tensor::mul(tape, ur, c_inv_r));
   const VarId mom_z = tensor::sub(tape, tensor::add(tape, conv_u, pz),
                                   tensor::scale(tape, lap_u, opt_.nu));
 
@@ -122,8 +121,7 @@ VarId AnnularProblem::residual_sq_on_tape(Tape& tape, const nn::Mlp& net,
                                    tensor::mul(tape, v, vr));
   const VarId lap_v = tensor::sub(
       tape,
-      tensor::add(tape, tensor::add(tape, vzz, vrr),
-                  tensor::mul(tape, vr, c_inv_r)),
+      tensor::add(tape, lap_zr_v, tensor::mul(tape, vr, c_inv_r)),
       tensor::mul(tape, v, c_inv_r2));
   const VarId mom_r = tensor::sub(tape, tensor::add(tape, conv_v, pr),
                                   tensor::scale(tape, lap_v, opt_.nu));
@@ -158,7 +156,8 @@ VarId AnnularProblem::batch_loss(Tape& tape, const nn::Mlp& net,
     mask_uv(i, 0) = m;
     mask_p(i, 0) = 1.0 - m;
   }
-  auto bout = net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0);
+  auto bout =
+      net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0, /*n_lap=*/0);
   const VarId bu = tensor::col(tape, bout.y, 0);
   const VarId bv = tensor::col(tape, bout.y, 1);
   const VarId bp = tensor::col(tape, bout.y, 2);

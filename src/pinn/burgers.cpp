@@ -62,10 +62,12 @@ BurgersProblem::BurgersProblem(const Options& options) : opt_(options) {
 VarId BurgersProblem::residual_on_tape(Tape& tape, const nn::Mlp& net,
                                        const nn::Mlp::Binding& binding,
                                        const Matrix& batch) const {
-  // Input dim 0 = x, dim 1 = t: dy[0] = u_x, dy[1] = u_t, d2y[0] = u_xx.
-  auto out = net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2);
+  // Input dim 0 = x, dim 1 = t: dy[0] = u_x, dy[1] = u_t, and the
+  // Laplacian over dim 0 alone is u_xx.
+  auto out =
+      net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2, /*n_lap=*/1);
   const VarId convection = tensor::mul(tape, out.y, out.dy[0]);
-  const VarId diffusion = tensor::scale(tape, out.d2y[0], -opt_.nu);
+  const VarId diffusion = tensor::scale(tape, out.lap, -opt_.nu);
   return tensor::add(tape, out.dy[1], tensor::add(tape, convection, diffusion));
 }
 
@@ -86,7 +88,8 @@ VarId BurgersProblem::batch_loss(Tape& tape, const nn::Mlp& net,
   for (std::size_t i = 0; i < nb; ++i)
     btarget(i, 0) = boundary_value_(brows[i], 0);
 
-  auto bout = net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0);
+  auto bout =
+      net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0, /*n_lap=*/0);
   const VarId bresidual =
       tensor::sub(tape, bout.y, tape.constant(std::move(btarget)));
 

@@ -37,17 +37,17 @@ HelmholtzProblem::HelmholtzProblem(const Options& options) : opt_(options) {
 VarId HelmholtzProblem::residual_on_tape(Tape& tape, const nn::Mlp& net,
                                          const nn::Mlp::Binding& binding,
                                          const Matrix& batch) const {
-  auto out = net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2);
+  auto out =
+      net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2, /*n_lap=*/2);
   Matrix q(batch.rows(), 1);
   for (std::size_t i = 0; i < batch.rows(); ++i)
     q(i, 0) = -cfd::helmholtz_manufactured_rhs(batch(i, 0), batch(i, 1),
                                                opt_.a1, opt_.a2,
                                                opt_.wavenumber);
   // residual = u_xx + u_yy + k^2 u - q.
-  const VarId lap = tensor::add(tape, out.d2y[0], out.d2y[1]);
   const VarId k2u =
       tensor::scale(tape, out.y, opt_.wavenumber * opt_.wavenumber);
-  return tensor::add(tape, tensor::add(tape, lap, k2u),
+  return tensor::add(tape, tensor::add(tape, out.lap, k2u),
                      tape.constant(std::move(q)));
 }
 
@@ -64,7 +64,8 @@ VarId HelmholtzProblem::batch_loss(Tape& tape, const nn::Mlp& net,
   for (auto& b : brows)
     b = static_cast<std::uint32_t>(rng.uniform_index(boundary_.rows()));
   const Matrix bpts = gather_rows(boundary_, brows);
-  auto bout = net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0);
+  auto bout =
+      net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0, /*n_lap=*/0);
   // Homogeneous Dirichlet walls: u = 0.
   return combine(tape, {{"pde", mse(tape, residual), 1.0},
                         {"bc", mse(tape, bout.y), opt_.boundary_weight}});

@@ -24,16 +24,12 @@ NsResiduals navier_stokes_residuals(Tape& tape,
   const VarId vy = tensor::col(tape, out.dy[1], 1);
   const VarId px = tensor::col(tape, out.dy[0], 2);
   const VarId py = tensor::col(tape, out.dy[1], 2);
-  const VarId uxx = tensor::col(tape, out.d2y[0], 0);
-  const VarId uyy = tensor::col(tape, out.d2y[1], 0);
-  const VarId vxx = tensor::col(tape, out.d2y[0], 1);
-  const VarId vyy = tensor::col(tape, out.d2y[1], 1);
+  const VarId lap_u = tensor::col(tape, out.lap, 0);  // u_xx + u_yy
+  const VarId lap_v = tensor::col(tape, out.lap, 1);  // v_xx + v_yy
 
   NsResiduals r;
   r.continuity = tensor::add(tape, ux, vy);
 
-  const VarId lap_u = tensor::add(tape, uxx, uyy);
-  const VarId lap_v = tensor::add(tape, vxx, vyy);
   VarId visc_u, visc_v;
   if (nu_t == tensor::kNoVar) {
     visc_u = tensor::scale(tape, lap_u, nu);
@@ -90,7 +86,8 @@ LdcProblem::LdcProblem(const Options& options,
 LdcProblem::BatchTerms LdcProblem::interior_terms(
     Tape& tape, const nn::Mlp& net, const nn::Mlp::Binding& binding,
     const Matrix& batch) const {
-  auto out = net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2);
+  auto out =
+      net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2, /*n_lap=*/2);
 
   VarId nu_t = tensor::kNoVar;
   Matrix wall_d(batch.rows(), 1);
@@ -137,7 +134,8 @@ VarId LdcProblem::batch_loss(Tape& tape, const nn::Mlp& net,
     btarget(i, 0) = boundary_uv_(brows[i], 0);
     btarget(i, 1) = boundary_uv_(brows[i], 1);
   }
-  auto bout = net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0);
+  auto bout =
+      net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0, /*n_lap=*/0);
   const VarId bu = tensor::col(tape, bout.y, 0);
   const VarId bv = tensor::col(tape, bout.y, 1);
   Matrix bu_t(nb, 1), bv_t(nb, 1);
@@ -193,15 +191,15 @@ std::vector<ValidationEntry> LdcProblem::validate(const nn::Mlp& net) const {
   if (opt_.zero_equation) {
     // nu_t from the network's derivatives vs nu_t evaluated on the FD
     // reference velocity field (central differences at grid spacing).
-    // The network's velocity gradients, from n_deriv=2 tapes over row
-    // chunks; the sums below still run in grid order.
+    // The network's velocity gradients, from n_deriv=2 tapes (no
+    // Laplacian) over row chunks; the sums below still run in grid order.
     Matrix jac(grid.rows(), 4);  // u_x, v_x, u_y, v_y per grid point
     for_each_row_chunk(
         net, grid,
         [&](Tape& tape, const nn::Mlp::Binding& binding, const Matrix& chunk,
             std::size_t r0) {
-          const nn::Mlp::TapeOutputs tout =
-              net.forward_on_tape(tape, binding, chunk, /*n_deriv=*/2);
+          const nn::Mlp::TapeOutputs tout = net.forward_on_tape(
+              tape, binding, chunk, /*n_deriv=*/2, /*n_lap=*/0);
           const Matrix& jx = tape.value(tout.dy[0]);
           const Matrix& jy = tape.value(tout.dy[1]);
           for (std::size_t i = 0; i < chunk.rows(); ++i) {

@@ -44,13 +44,13 @@ PoissonProblem::PoissonProblem(const Options& options) : opt_(options) {
 VarId PoissonProblem::residual_on_tape(Tape& tape, const nn::Mlp& net,
                                        const nn::Mlp::Binding& binding,
                                        const Matrix& batch) const {
-  auto out = net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2);
+  auto out =
+      net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2, /*n_lap=*/2);
   // residual = u_xx + u_yy + f  (so that -lap u = f <=> residual = 0).
   Matrix f(batch.rows(), 1);
   for (std::size_t i = 0; i < batch.rows(); ++i)
     f(i, 0) = cfd::poisson_manufactured_rhs(batch(i, 0), batch(i, 1));
-  const VarId lap = tensor::add(tape, out.d2y[0], out.d2y[1]);
-  return tensor::add(tape, lap, tape.constant(std::move(f)));
+  return tensor::add(tape, out.lap, tape.constant(std::move(f)));
 }
 
 VarId PoissonProblem::batch_loss(Tape& tape, const nn::Mlp& net,
@@ -71,7 +71,8 @@ VarId PoissonProblem::batch_loss(Tape& tape, const nn::Mlp& net,
   for (std::size_t i = 0; i < nb; ++i)
     btarget(i, 0) = boundary_value_(brows[i], 0);
 
-  auto bout = net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0);
+  auto bout =
+      net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0, /*n_lap=*/0);
   const VarId bresidual =
       tensor::sub(tape, bout.y, tape.constant(std::move(btarget)));
 

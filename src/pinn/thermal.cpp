@@ -78,13 +78,13 @@ double ChipThermalProblem::power_density(double x, double y) const {
 VarId ChipThermalProblem::residual_on_tape(Tape& tape, const nn::Mlp& net,
                                            const nn::Mlp::Binding& binding,
                                            const Matrix& batch) const {
-  auto out = net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2);
+  auto out =
+      net.forward_on_tape(tape, binding, batch, /*n_deriv=*/2, /*n_lap=*/2);
   Matrix q(batch.rows(), 1);
   for (std::size_t i = 0; i < batch.rows(); ++i)
     q(i, 0) = power_density(batch(i, 0), batch(i, 1));
   // residual = T_xx + T_yy + q  (so -lap T = q <=> residual = 0)
-  const VarId lap = tensor::add(tape, out.d2y[0], out.d2y[1]);
-  return tensor::add(tape, lap, tape.constant(std::move(q)));
+  return tensor::add(tape, out.lap, tape.constant(std::move(q)));
 }
 
 VarId ChipThermalProblem::batch_loss(Tape& tape, const nn::Mlp& net,
@@ -100,7 +100,8 @@ VarId ChipThermalProblem::batch_loss(Tape& tape, const nn::Mlp& net,
   for (auto& b : brows)
     b = static_cast<std::uint32_t>(rng.uniform_index(boundary_.rows()));
   const Matrix bpts = gather_rows(boundary_, brows);
-  auto bout = net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0);
+  auto bout =
+      net.forward_on_tape(tape, binding, bpts, /*n_deriv=*/0, /*n_lap=*/0);
   // Heat-sink boundary: T = 0.
   return combine(tape,
                  {{"pde", mse(tape, residual), 1.0},

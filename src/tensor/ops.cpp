@@ -67,19 +67,40 @@ void colsum_grad(Tape& t, VarId bias, const Matrix& g) {
 }
 
 // grad(a) (+)= g · value(b)^T, threaded over the rows of grad(a); the first
-// contribution stores (accumulate=false, see grad_out). The right
-// operand is transposed once into the op node's pooled scratch so the
-// product runs through the fast NN kernel instead of the strided NT shape.
-void matmul_grad_left(Tape& t, TapeNode& n, VarId a, const Matrix& g,
-                      const Matrix& bv) {
+// contribution stores (accumulate=false, see grad_out). B^T comes from b's
+// slot, transposed once per backward sweep however many nodes read b, so
+// the product runs through the fast NN kernel instead of the strided NT
+// shape.
+void matmul_grad_left(Tape& t, VarId a, const Matrix& g, VarId b) {
   if (!t.requires_grad(a)) return;
-  Matrix& bt = n.aux[0];
-  transpose_into(bv, bt);
+  const Matrix& bt = t.value_transposed(b);
   bool first = false;
   Matrix& ga = t.grad_out(a, first);
   t.parallel_range(ga.rows(), Tape::kRowGrain,
+                   [&](std::size_t rb, std::size_t re) {
+                     gemm_nn(g, bt, ga, rb, re, /*accumulate=*/!first);
+                   });
+}
+
+// out[i] = ((c⊙z_0)⊙z_0 + (c⊙z_1)⊙z_1 + …) + d⊙w, summed in k order per
+// element: the value of kActLaplacian (c = f'', d = f', w = lz) and the
+// bracket of its z gradient (c = f''', d = f'', w = lz). Each pass is a
+// plain vectorizable loop; a chunk stays in cache across the passes.
+void laplacian_sum(Tape& t, const double* c, std::span<const VarId> zk,
+                   const double* d, const double* w, Matrix& out) {
+  double* o = out.data();
+  t.parallel_range(out.size(), Tape::kElemGrain,
                    [&](std::size_t b, std::size_t e) {
-                     gemm_nn(g, bt, ga, b, e, /*accumulate=*/!first);
+                     const double* z0 = t.value(zk[0]).data();
+                     for (std::size_t i = b; i < e; ++i)
+                       o[i] = c[i] * z0[i] * z0[i];
+                     for (std::size_t k = 1; k < zk.size(); ++k) {
+                       const double* z = t.value(zk[k]).data();
+                       for (std::size_t i = b; i < e; ++i)
+                         o[i] = o[i] + c[i] * z[i] * z[i];
+                     }
+                     for (std::size_t i = b; i < e; ++i)
+                       o[i] = o[i] + d[i] * w[i];
                    });
 }
 
@@ -314,30 +335,22 @@ VarId act_chain(Tape& t, VarId act, VarId zk) {
   return id;
 }
 
-VarId act_curve(Tape& t, VarId act, VarId zk, VarId hzk) {
+VarId act_laplacian(Tape& t, VarId act, std::span<const VarId> zk,
+                    VarId lz) {
   const TapeNode& an = t.node(act);
   if (an.op != Op::kActivation || an.index < 3)
     throw std::invalid_argument(
-        "act_curve: act must be an activation node with orders = 3");
-  check_same_shape(t, act, zk, "act_curve");
-  check_same_shape(t, act, hzk, "act_curve");
-  const VarId id = t.emit(Op::kActCurve, an.in[0], zk, hzk, act);
-  const Matrix& s1 = t.node(act).aux[0];
-  const Matrix& s2 = t.node(act).aux[1];
-  const Matrix& zkv = t.value(zk);
-  const Matrix& hzkv = t.value(hzk);
+        "act_laplacian: act must be an activation node with orders = 3");
+  if (zk.empty())
+    throw std::invalid_argument("act_laplacian: needs at least one z_k");
+  for (const VarId z : zk) check_same_shape(t, act, z, "act_laplacian");
+  check_same_shape(t, act, lz, "act_laplacian");
+  const VarId id = t.emit(Op::kActLaplacian, an.in[0], lz, kNoVar, act, zk);
+  const TapeNode& a = t.node(act);
   Matrix& v = t.mutable_value(id);
-  v.resize(zkv.rows(), zkv.cols());
-  const double* s1p = s1.data();
-  const double* s2p = s2.data();
-  const double* zp = zkv.data();
-  const double* hp = hzkv.data();
-  double* vp = v.data();
-  t.parallel_range(v.size(), Tape::kElemGrain,
-                   [&](std::size_t b0, std::size_t e) {
-                     for (std::size_t i = b0; i < e; ++i)
-                       vp[i] = s2p[i] * zp[i] * zp[i] + s1p[i] * hp[i];
-                   });
+  v.resize(a.value.rows(), a.value.cols());
+  laplacian_sum(t, a.aux[1].data(), t.more_inputs(id), a.aux[0].data(),
+                t.value(lz).data(), v);
   return id;
 }
 
@@ -463,11 +476,11 @@ void backward_node(Tape& t, VarId id) {
       axpy_grad(t, n.in[0], g, 1.0);
       break;
     case Op::kMatmul:
-      matmul_grad_left(t, n, n.in[0], g, t.value(n.in[1]));
+      matmul_grad_left(t, n.in[0], g, n.in[1]);
       matmul_grad_right(t, n.in[1], t.value(n.in[0]), g);
       break;
     case Op::kAffine:
-      matmul_grad_left(t, n, n.in[0], g, t.value(n.in[1]));
+      matmul_grad_left(t, n.in[0], g, n.in[1]);
       matmul_grad_right(t, n.in[1], t.value(n.in[0]), g);
       colsum_grad(t, n.in[2], g);
       break;
@@ -501,21 +514,30 @@ void backward_node(Tape& t, VarId id) {
       prod_grad(t, n.in[1], g, act.aux[0]);
       break;
     }
-    case Op::kActCurve: {
-      // value = f''(z) ⊙ zk² + f'(z) ⊙ hzk.
+    case Op::kActLaplacian: {
+      // value = Σ_k f''(z) ⊙ z_k² + f'(z) ⊙ lz, in laplacian_sum's order.
       const TapeNode& act = t.node(n.ref);
+      const std::span<const VarId> zk = t.more_inputs(id);
       const double* gp = g.data();
       const double* s2p = act.aux[1].data();
-      const double* s3p = act.aux[2].data();
-      const double* zkp = t.value(n.in[1]).data();
-      const double* hp = t.value(n.in[2]).data();
-      elementwise_grad(t, n.in[0], [&](std::size_t i) {
-        return gp[i] * (s3p[i] * zkp[i] * zkp[i] + s2p[i] * hp[i]);
-      });
-      elementwise_grad(t, n.in[1], [&](std::size_t i) {
-        return 2.0 * gp[i] * s2p[i] * zkp[i];
-      });
-      prod_grad(t, n.in[2], g, act.aux[0]);
+      if (t.requires_grad(n.in[0])) {
+        // d/dz = g ⊙ (Σ_k f'''(z) ⊙ z_k² + f''(z) ⊙ lz); the bracket is
+        // staged in the node's pooled aux[0].
+        Matrix& dz = n.aux[0];
+        dz.resize(g.rows(), g.cols());
+        laplacian_sum(t, act.aux[2].data(), zk, s2p, t.value(n.in[1]).data(),
+                      dz);
+        const double* dzp = dz.data();
+        elementwise_grad(t, n.in[0],
+                         [&](std::size_t i) { return gp[i] * dzp[i]; });
+      }
+      for (const VarId z : zk) {
+        const double* zp = t.value(z).data();
+        elementwise_grad(t, z, [&](std::size_t i) {
+          return 2.0 * gp[i] * s2p[i] * zp[i];
+        });
+      }
+      prod_grad(t, n.in[1], g, act.aux[0]);
       break;
     }
     case Op::kSquare: {

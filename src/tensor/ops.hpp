@@ -63,8 +63,8 @@ VarId apply(Tape& t, VarId a, const ElementwiseFunction& f, int order = 0);
 /// Fused activation sweep: value = f(z), with f', ..., f^(orders) recorded
 /// as auxiliary buffers in the SAME sweep over z (one array eval_orders
 /// call per chunk). orders must be 1..3: backward of the value needs f'; the
-/// act_chain / act_curve consumers additionally need f''/f''' (orders >= 2
-/// and 3 respectively). Returns the value node.
+/// act_chain / act_laplacian consumers additionally need f''/f''' (orders
+/// >= 2 and 3 respectively). Returns the value node.
 VarId activation(Tape& t, VarId z, const ElementwiseFunction& f, int orders);
 
 /// Fused first-derivative propagation: c = f'(z) ⊙ zk, where `act` is the
@@ -72,9 +72,13 @@ VarId activation(Tape& t, VarId z, const ElementwiseFunction& f, int orders);
 /// were precomputed by the sweep).
 VarId act_chain(Tape& t, VarId act, VarId zk);
 
-/// Fused Hessian-diagonal propagation: c = f''(z) ⊙ zk² + f'(z) ⊙ hzk,
-/// with `act` an activation(t, z, f, orders=3) node.
-VarId act_curve(Tape& t, VarId act, VarId zk, VarId hzk);
+/// Fused Laplacian propagation through an activation, one elementwise pass:
+///   c = ((f''(z)⊙z_0)⊙z_0 + (f''(z)⊙z_1)⊙z_1 + …) + f'(z)⊙lz,
+/// summed in k order per element, with `act` an activation(t, z, f,
+/// orders=3) node, `zk` the n >= 1 pre-activation Jacobian columns
+/// Z_k = A_k W and `lz` = L W. At n = 1 this is f''(z)⊙z_0² + f'(z)⊙lz
+/// exactly. Backward sums its f''' terms in the same order.
+VarId act_laplacian(Tape& t, VarId act, std::span<const VarId> zk, VarId lz);
 
 /// c = a ⊙ a.
 VarId square(Tape& t, VarId a);

@@ -12,12 +12,14 @@ VarId Tape::alloc_node() {
   n.fn = nullptr;
   n.scalar = 0.0;
   n.index = 0;
+  n.more = 0;
   n.order = 0;
   n.in = {kNoVar, kNoVar, kNoVar};
   n.ref = kNoVar;
   n.op = Op::kLeaf;
   n.requires_grad = false;
   n.grad_set = false;
+  n.value_t_set = false;
   return static_cast<VarId>(size_++);
 }
 
@@ -40,19 +42,27 @@ VarId Tape::constant_uninit(std::size_t rows, std::size_t cols) {
   return id;
 }
 
-VarId Tape::emit(Op op, VarId in0, VarId in1, VarId in2, VarId ref) {
+VarId Tape::emit(Op op, VarId in0, VarId in1, VarId in2, VarId ref,
+                 std::span<const VarId> more) {
   const VarId id = alloc_node();
   TapeNode& n = pool_[id];
   n.op = op;
   n.in = {in0, in1, in2};
   n.ref = ref;
-  for (VarId in : n.in) {
-    if (in == kNoVar) continue;
+  auto take = [&](VarId in) {
+    if (in == kNoVar) return;
     if (in < 0 || in >= id) throw std::out_of_range("Tape::emit: bad input id");
     if (pool_[in].requires_grad) n.requires_grad = true;
-  }
+  };
+  for (VarId in : n.in) take(in);
+  for (VarId in : more) take(in);
   if (ref != kNoVar && (ref < 0 || ref >= id))
     throw std::out_of_range("Tape::emit: bad ref id");
+  if (!more.empty()) {
+    n.more = static_cast<std::uint32_t>(more_.size());
+    n.index = static_cast<std::uint32_t>(more.size());
+    more_.insert(more_.end(), more.begin(), more.end());
+  }
   return id;
 }
 
@@ -79,13 +89,25 @@ Matrix& Tape::grad_buf(VarId id) {
   return g;
 }
 
+const Matrix& Tape::value_transposed(VarId id) {
+  TapeNode& n = pool_[id];
+  if (!n.value_t_set) {
+    transpose_into(n.value, n.value_t);
+    n.value_t_set = true;
+  }
+  return n.value_t;
+}
+
 void Tape::backward(VarId root) {
   if (root < 0 || static_cast<std::size_t>(root) >= size_)
     throw std::out_of_range("Tape::backward: bad root id");
   const Matrix& rv = pool_[root].value;
   if (rv.rows() != 1 || rv.cols() != 1)
     throw std::invalid_argument("Tape::backward: root must be a 1x1 scalar");
-  for (std::size_t i = 0; i < size_; ++i) pool_[i].grad_set = false;
+  for (std::size_t i = 0; i < size_; ++i) {
+    pool_[i].grad_set = false;
+    pool_[i].value_t_set = false;
+  }
   {
     TapeNode& r = pool_[root];
     r.grad.resize(1, 1);

@@ -2,7 +2,7 @@
 // Reverse-mode automatic differentiation over Matrix values — v2.
 //
 // The tape is define-by-run: the MLP forward pass — including the
-// propagation of input-Jacobians and input-Hessian diagonals needed by PDE
+// propagation of input-Jacobians and of the input Laplacian needed by PDE
 // residuals — is recorded as a sequence of Matrix ops, and one backward()
 // sweep produces gradients w.r.t. every parameter leaf. Nodes are
 // topologically ordered by construction, so the backward sweep is a simple
@@ -10,14 +10,16 @@
 //
 // v2 execution model (PR 4):
 //  * ops are an enum dispatched in a switch, not std::function closures —
-//    a node carries at most three input ids, a few scalar params and an
-//    ElementwiseFunction pointer, never a heap-allocated callable;
+//    a node carries three input ids, a few scalar params and an
+//    ElementwiseFunction pointer, never a heap-allocated callable; the one
+//    variadic op (kActLaplacian) keeps its further input ids in the tape's
+//    pooled id list;
 //  * nodes live in a bump arena: clear() resets the node count but keeps
 //    every node's value/grad/aux Matrix buffers, so a tape reused across
 //    training steps re-records the same graph into the same buffers with
-//    ZERO heap allocations in steady state (asserted by tests; input
-//    encodings other than identity still stage their encode() outputs
-//    outside the arena);
+//    ZERO heap allocations in steady state (asserted by tests for the
+//    identity and the Fourier input encodings, which encode straight into
+//    constant slots);
 //  * gradients are write-first: a kernel that writes every element of an
 //    input's gradient stores on the node's first contribution of the sweep
 //    instead of accumulating into a zero-filled buffer (grad_out). GEMMs
@@ -25,6 +27,9 @@
 //    that equals 0.0 + x); elementwise kernels store x + 0.0, which turns
 //    -0.0 into +0.0 exactly as 0.0 + x did. Only partial writers (kCol,
 //    bias column sums, kHcat) still zero-fill (grad_buf);
+//  * a matmul's left gradient g · B^T reads B^T from value_transposed(B),
+//    computed once per backward sweep on B's slot: every layer's weight is
+//    transposed once however many matmul/affine nodes read it;
 //  * activations evaluate their derivative ladder once per chunk through
 //    the array ElementwiseFunction::eval_orders, not per element;
 //  * kernels are threaded over row/element chunks via util::ThreadPool.
@@ -36,6 +41,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -50,9 +56,10 @@ inline constexpr VarId kNoVar = -1;
 
 /// The op set. Fused ops exist for the training-step hot path:
 /// kAffine = matmul + bias row broadcast; kActivation evaluates f, f', f''
-/// (and f''' for backward) in ONE sweep over z; kActChain / kActCurve are
-/// the per-input-dimension derivative propagation rules of the MLP layer
-/// (see nn/mlp.hpp), each a single fused elementwise pass.
+/// (and f''' for backward) in ONE sweep over z; kActChain (one per input
+/// dimension) and kActLaplacian (one per layer) are the derivative
+/// propagation rules of the MLP layer (see nn/mlp.hpp), each a single fused
+/// elementwise pass.
 enum class Op : std::uint8_t {
   kLeaf,          // constant or parameter
   kAdd,           // a + b
@@ -66,7 +73,8 @@ enum class Op : std::uint8_t {
   kApply,         // f^(order)(a) elementwise
   kActivation,    // f(z); aux[k] = f^(k+1)(z) for k < orders
   kActChain,      // f'(z) ⊙ zk            (ref: the kActivation node)
-  kActCurve,      // f''(z) ⊙ zk² + f'(z) ⊙ hzk  (ref: the kActivation node)
+  kActLaplacian,  // Σ_k f''(z) ⊙ z_k² + f'(z) ⊙ lz  (ref: kActivation node;
+                  //   in[1] = lz, the z_k are the node's more_inputs())
   kSquare,        // a ⊙ a
   kCol,           // column `index` of a
   kMeanAll,       // scalar mean
@@ -82,16 +90,21 @@ enum class Op : std::uint8_t {
 struct TapeNode {
   Matrix value;
   Matrix grad;                 // valid only when grad_set (stale otherwise)
-  std::array<Matrix, 3> aux;   // kActivation: f',f'',f'''; kWeightedMean: w
+  std::array<Matrix, 3> aux;   // kActivation: f',f'',f'''; kWeightedMean: w;
+                               // kActLaplacian: backward scratch
   const ElementwiseFunction* fn = nullptr;
   double scalar = 0.0;         // kScale/kAddScalar factor, reduction 1/n
-  std::uint32_t index = 0;     // kCol j; kHcat split; kActivation orders
+  Matrix value_t;              // value^T, valid only when value_t_set
+  std::uint32_t index = 0;     // kCol j; kHcat split; kActivation orders;
+                               // kActLaplacian: number of more_inputs
+  std::uint32_t more = 0;      // kActLaplacian: offset in the tape id list
   int order = 0;               // kApply derivative order
   std::array<VarId, 3> in = {kNoVar, kNoVar, kNoVar};
-  VarId ref = kNoVar;          // kActChain/kActCurve -> kActivation node
+  VarId ref = kNoVar;          // kActChain/kActLaplacian -> kActivation node
   Op op = Op::kLeaf;
   bool requires_grad = false;
   bool grad_set = false;
+  bool value_t_set = false;
 };
 
 class Tape {
@@ -111,7 +124,14 @@ class Tape {
   /// Record an op node (kernel interface, used by the emitters in ops.cpp).
   /// requires_grad is inferred from the inputs; throws on out-of-range ids.
   VarId emit(Op op, VarId in0 = kNoVar, VarId in1 = kNoVar,
-             VarId in2 = kNoVar, VarId ref = kNoVar);
+             VarId in2 = kNoVar, VarId ref = kNoVar,
+             std::span<const VarId> more = {});
+
+  /// The input ids a node recorded beyond in[0..2] (emit's `more`).
+  std::span<const VarId> more_inputs(VarId id) const {
+    const TapeNode& n = pool_[id];
+    return {more_.data() + n.more, n.index};
+  }
 
   const Matrix& value(VarId id) const { return pool_[id].value; }
   Matrix& mutable_value(VarId id) { return pool_[id].value; }
@@ -122,15 +142,22 @@ class Tape {
 
   bool requires_grad(VarId id) const { return pool_[id].requires_grad; }
 
+  /// value(id)^T, computed into the slot's pooled buffer on the first call
+  /// of a backward sweep and shared by every later caller of that sweep.
+  const Matrix& value_transposed(VarId id);
+
   /// Runs reverse-mode accumulation from `root`, which must be 1x1.
-  /// Clears any previous gradients first.
+  /// Clears any previous gradients and cached transposes first.
   void backward(VarId root);
 
   std::size_t num_nodes() const { return size_; }
 
   /// Drop all nodes; node slots and their Matrix capacity are retained so
   /// per-step reuse is allocation-free once shapes have stabilized.
-  void clear() { size_ = 0; }
+  void clear() {
+    size_ = 0;
+    more_.clear();
+  }
 
   /// Worker threads for the threaded kernels (resolved count; 1 = serial,
   /// the default). Results are byte-identical at any setting.
@@ -176,6 +203,7 @@ class Tape {
   VarId alloc_node();
 
   std::vector<TapeNode> pool_;
+  std::vector<VarId> more_;  // variadic inputs, see emit(); capacity kept
   std::size_t size_ = 0;
   std::size_t threads_ = 1;
 };

@@ -107,42 +107,87 @@ TEST(Activation, SiluKnownValues) {
 
 // -------------------------------------------------------------- Encodings --
 
+// Encodes with fresh destination matrices (n_deriv Jacobian columns, plus
+// the Laplacian over the first n_lap dimensions when n_lap > 0).
+struct Encoded {
+  Matrix e, lap, scratch;
+  std::vector<Matrix> de;
+};
+
+Encoded encode(const sgm::nn::InputEncoding& enc, const Matrix& x,
+               int n_deriv, int n_lap) {
+  Encoded out;
+  out.de.resize(static_cast<std::size_t>(n_deriv));
+  std::vector<Matrix*> de;
+  for (auto& m : out.de) de.push_back(&m);
+  enc.encode(x, n_deriv, n_lap,
+             {&out.e, de.data(), &out.lap, &out.scratch});
+  return out;
+}
+
 TEST(Encoding, IdentityShapesAndJacobian) {
   sgm::nn::IdentityEncoding enc;
   Matrix x{{0.3, 0.8}, {0.1, 0.2}};
-  Matrix e;
-  std::vector<Matrix> de, d2e;
-  enc.encode(x, 2, e, de, d2e);
-  EXPECT_EQ(e.rows(), 2u);
-  EXPECT_EQ(e.cols(), 2u);
-  EXPECT_DOUBLE_EQ(de[0](0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(de[0](0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(de[1](1, 1), 1.0);
-  EXPECT_DOUBLE_EQ(d2e[0].max_abs(), 0.0);
+  const Encoded out = encode(enc, x, 2, 2);
+  EXPECT_EQ(out.e.rows(), 2u);
+  EXPECT_EQ(out.e.cols(), 2u);
+  EXPECT_DOUBLE_EQ(out.de[0](0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(out.de[0](0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(out.de[1](1, 1), 1.0);
+  EXPECT_EQ(out.lap.rows(), 2u);
+  EXPECT_EQ(out.lap.cols(), 2u);
+  EXPECT_DOUBLE_EQ(out.lap.max_abs(), 0.0);
 }
 
 TEST(Encoding, FourierDerivativesMatchFiniteDifference) {
   sgm::util::Rng rng(5);
   sgm::nn::FourierEncoding enc(2, 4, 1.5, rng);
   Matrix x{{0.4, -0.2}};
-  Matrix e;
-  std::vector<Matrix> de, d2e;
-  enc.encode(x, 2, e, de, d2e);
-
   const double h = 1e-5;
-  for (int k = 0; k < 2; ++k) {
-    Matrix xp = x, xm = x;
-    xp(0, k) += h;
-    xm(0, k) -= h;
-    Matrix ep, em;
-    std::vector<Matrix> dd, dd2;
-    enc.encode(xp, 0, ep, dd, dd2);
-    enc.encode(xm, 0, em, dd, dd2);
-    for (std::size_t c = 0; c < e.cols(); ++c) {
-      const double d1 = (ep(0, c) - em(0, c)) / (2 * h);
-      const double d2 = (ep(0, c) - 2 * e(0, c) + em(0, c)) / (h * h);
-      EXPECT_NEAR(de[k](0, c), d1, 1e-6);
-      EXPECT_NEAR(d2e[k](0, c), d2, 1e-4);
+  auto at = [&](int k, double dx) {
+    Matrix xs = x;
+    xs(0, k) += dx;
+    return encode(enc, xs, 0, 0).e;
+  };
+  for (int n_lap = 1; n_lap <= 2; ++n_lap) {
+    const Encoded out = encode(enc, x, 2, n_lap);
+    Matrix lap_fd(1, out.e.cols());
+    for (int k = 0; k < 2; ++k) {
+      const Matrix ep = at(k, h), em = at(k, -h);
+      for (std::size_t c = 0; c < out.e.cols(); ++c) {
+        EXPECT_NEAR(out.de[k](0, c), (ep(0, c) - em(0, c)) / (2 * h), 1e-6);
+        if (k < n_lap)
+          lap_fd(0, c) += (ep(0, c) - 2 * out.e(0, c) + em(0, c)) / (h * h);
+      }
+    }
+    for (std::size_t c = 0; c < out.e.cols(); ++c)
+      EXPECT_NEAR(out.lap(0, c), lap_fd(0, c), 1e-4)
+          << "n_lap " << n_lap << " col " << c;
+  }
+}
+
+TEST(Encoding, FourierValuesMatchUnstagedFormula) {
+  // The phase goes through the same GEMM as tensor::matmul wherever it is
+  // staged, so E and dE are bitwise the closed forms over matmul(x, B).
+  sgm::util::Rng rng(9);
+  sgm::nn::FourierEncoding enc(3, 5, 1.2, rng);
+  Matrix x(7, 3);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x.data()[i] = rng.uniform(-1.0, 1.0);
+  const Encoded out = encode(enc, x, 2, 1);
+  const Matrix phase = sgm::tensor::matmul(x, enc.frequencies());
+  const Matrix& b = enc.frequencies();
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      const double sp = std::sin(phase(r, j)), cp = std::cos(phase(r, j));
+      EXPECT_EQ(out.e(r, 3 + j), sp);
+      EXPECT_EQ(out.e(r, 8 + j), cp);
+      for (std::size_t k = 0; k < 2; ++k) {
+        EXPECT_EQ(out.de[k](r, 3 + j), b(k, j) * cp);
+        EXPECT_EQ(out.de[k](r, 8 + j), -b(k, j) * sp);
+      }
+      EXPECT_EQ(out.lap(r, 3 + j), -b(0, j) * b(0, j) * sp);
+      EXPECT_EQ(out.lap(r, 8 + j), -b(0, j) * b(0, j) * cp);
     }
   }
 }
@@ -182,8 +227,9 @@ TEST(Mlp, ForwardMatchesTapeForward) {
   const Matrix direct = net.forward(x);
   Tape tape;
   auto binding = net.bind(tape);
-  auto out = net.forward_on_tape(tape, binding, x, 0);
+  auto out = net.forward_on_tape(tape, binding, x, 0, 0);
   EXPECT_LT((direct - tape.value(out.y)).max_abs(), 1e-12);
+  EXPECT_EQ(out.lap, sgm::tensor::kNoVar);
 }
 
 TEST(Mlp, InputJacobianMatchesFiniteDifference) {
@@ -192,7 +238,7 @@ TEST(Mlp, InputJacobianMatchesFiniteDifference) {
   Matrix x{{0.25, -0.5}};
   Tape tape;
   auto binding = net.bind(tape);
-  auto out = net.forward_on_tape(tape, binding, x, 2);
+  auto out = net.forward_on_tape(tape, binding, x, 2, 0);
 
   const double h = 1e-6;
   for (int k = 0; k < 2; ++k) {
@@ -210,30 +256,60 @@ TEST(Mlp, InputJacobianMatchesFiniteDifference) {
 }
 
 TEST(Mlp, InputHessianDiagonalMatchesFiniteDifference) {
-  sgm::util::Rng rng(4);
-  Mlp net(small_config(2, 2), rng);
-  Matrix x{{0.3, 0.6}, {-0.2, 0.1}};
-  Tape tape;
-  auto binding = net.bind(tape);
-  auto out = net.forward_on_tape(tape, binding, x, 2);
+  // The Laplacian stream against the sum of per-dimension central second
+  // differences: n_lap = 1 and 2 of a 2-input net, n_lap = 2 of a 3-input
+  // net (annular's shape: dims 0 and 1 of (z, r, r_i)) and n_lap = 3.
+  struct Case {
+    std::size_t inputs;
+    int n_deriv, n_lap;
+  };
+  for (const Case cs : {Case{2, 2, 1}, Case{2, 2, 2}, Case{3, 2, 2},
+                        Case{3, 3, 3}}) {
+    sgm::util::Rng rng(4);
+    Mlp net(small_config(cs.inputs, 2), rng);
+    Matrix x(2, cs.inputs);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      x.data()[i] = rng.uniform(-0.5, 0.7);
+    Tape tape;
+    auto binding = net.bind(tape);
+    auto out = net.forward_on_tape(tape, binding, x, cs.n_deriv, cs.n_lap);
+    ASSERT_EQ(out.dy.size(), static_cast<std::size_t>(cs.n_deriv));
 
-  const double h = 1e-4;
-  for (std::size_t row = 0; row < 2; ++row) {
-    for (int k = 0; k < 2; ++k) {
-      Matrix xp = x, xm = x;
-      xp(row, k) += h;
-      xm(row, k) -= h;
-      const Matrix fp = net.forward(xp);
-      const Matrix f0 = net.forward(x);
-      const Matrix fm = net.forward(xm);
+    const double h = 1e-4;
+    const Matrix f0 = net.forward(x);
+    for (std::size_t row = 0; row < 2; ++row) {
       for (std::size_t c = 0; c < 2; ++c) {
-        const double numeric =
-            (fp(row, c) - 2 * f0(row, c) + fm(row, c)) / (h * h);
-        EXPECT_NEAR(tape.value(out.d2y[k])(row, c), numeric, 5e-5)
-            << "row " << row << " dim " << k << " out " << c;
+        double numeric = 0.0;
+        for (int k = 0; k < cs.n_lap; ++k) {
+          Matrix xp = x, xm = x;
+          xp(row, k) += h;
+          xm(row, k) -= h;
+          numeric += (net.forward(xp)(row, c) - 2 * f0(row, c) +
+                      net.forward(xm)(row, c)) /
+                     (h * h);
+        }
+        EXPECT_NEAR(tape.value(out.lap)(row, c), numeric, 5e-5)
+            << cs.inputs << " inputs, n_lap " << cs.n_lap << ", row " << row
+            << " out " << c;
       }
     }
   }
+}
+
+TEST(Mlp, BadLaplacianDimensionCountThrows) {
+  sgm::util::Rng rng(12);
+  Mlp net(small_config(3, 1), rng);
+  Matrix x{{0.1, 0.2, 0.3}};
+  Tape tape;
+  auto binding = net.bind(tape);
+  for (const auto& [n_deriv, n_lap] :
+       {std::pair{2, -1}, std::pair{2, 3}, std::pair{0, 1},
+        std::pair{1, 2}}) {
+    EXPECT_THROW(net.forward_on_tape(tape, binding, x, n_deriv, n_lap),
+                 std::invalid_argument)
+        << "n_deriv " << n_deriv << " n_lap " << n_lap;
+  }
+  EXPECT_NO_THROW(net.forward_on_tape(tape, binding, x, 3, 3));
 }
 
 // Parameterized over the tape's worker-thread count: the analytic gradient
@@ -254,18 +330,16 @@ TEST_P(MlpGradcheck, SecondOrderLossParamGradcheck) {
     Tape t;
     t.set_num_threads(num_threads);
     auto b = m.bind(t);
-    auto out = m.forward_on_tape(t, b, x, 2);
-    VarId lap = ops::add(t, out.d2y[0], out.d2y[1]);
-    VarId mixed = ops::add(t, lap, ops::mul(t, out.y, out.dy[0]));
+    auto out = m.forward_on_tape(t, b, x, 2, 2);
+    VarId mixed = ops::add(t, out.lap, ops::mul(t, out.y, out.dy[0]));
     return t.value(ops::mean_all(t, ops::square(t, mixed)))(0, 0);
   };
 
   Tape tape;
   tape.set_num_threads(num_threads);
   auto binding = net.bind(tape);
-  auto out = net.forward_on_tape(tape, binding, x, 2);
-  VarId lap = ops::add(tape, out.d2y[0], out.d2y[1]);
-  VarId mixed = ops::add(tape, lap, ops::mul(tape, out.y, out.dy[0]));
+  auto out = net.forward_on_tape(tape, binding, x, 2, 2);
+  VarId mixed = ops::add(tape, out.lap, ops::mul(tape, out.y, out.dy[0]));
   VarId loss = ops::mean_all(tape, ops::square(tape, mixed));
   tape.backward(loss);
   auto grads = net.collect_grads(tape, binding);
@@ -302,22 +376,26 @@ TEST(Mlp, FourierEncodedDerivativesStillCorrect) {
   cfg.encoding = std::make_shared<sgm::nn::FourierEncoding>(2, 4, 1.0, rng);
   Mlp net(cfg, rng);
   Matrix x{{0.3, 0.5}};
-  Tape tape;
-  auto binding = net.bind(tape);
-  auto out = net.forward_on_tape(tape, binding, x, 2);
   const double h = 1e-4;
-  for (int k = 0; k < 2; ++k) {
-    Matrix xp = x, xm = x;
-    xp(0, k) += h;
-    xm(0, k) -= h;
-    const double numeric1 =
-        (net.forward(xp)(0, 0) - net.forward(xm)(0, 0)) / (2 * h);
-    const double numeric2 = (net.forward(xp)(0, 0) -
-                             2 * net.forward(x)(0, 0) +
-                             net.forward(xm)(0, 0)) /
-                            (h * h);
-    EXPECT_NEAR(tape.value(out.dy[k])(0, 0), numeric1, 1e-5);
-    EXPECT_NEAR(tape.value(out.d2y[k])(0, 0), numeric2, 1e-3);
+  for (int n_lap = 1; n_lap <= 2; ++n_lap) {
+    Tape tape;
+    auto binding = net.bind(tape);
+    auto out = net.forward_on_tape(tape, binding, x, 2, n_lap);
+    double numeric2 = 0.0;
+    for (int k = 0; k < 2; ++k) {
+      Matrix xp = x, xm = x;
+      xp(0, k) += h;
+      xm(0, k) -= h;
+      const double numeric1 =
+          (net.forward(xp)(0, 0) - net.forward(xm)(0, 0)) / (2 * h);
+      EXPECT_NEAR(tape.value(out.dy[k])(0, 0), numeric1, 1e-5);
+      if (k < n_lap)
+        numeric2 += (net.forward(xp)(0, 0) - 2 * net.forward(x)(0, 0) +
+                     net.forward(xm)(0, 0)) /
+                    (h * h);
+    }
+    EXPECT_NEAR(tape.value(out.lap)(0, 0), numeric2, 1e-3)
+        << "n_lap " << n_lap;
   }
 }
 
@@ -340,7 +418,7 @@ TEST(Mlp, PartialDerivDimsOnly) {
   Matrix x{{0.1, 0.5, 0.9}};
   Tape tape;
   auto binding = net.bind(tape);
-  auto out = net.forward_on_tape(tape, binding, x, 2);
+  auto out = net.forward_on_tape(tape, binding, x, 2, 2);
   EXPECT_EQ(out.dy.size(), 2u);
   const double h = 1e-6;
   Matrix xp = x, xm = x;

@@ -153,7 +153,7 @@ TEST(ZeroEq, NutMatchesHandComputedStrain) {
   Matrix x{{0.3, 0.4}, {0.6, 0.2}};
   Tape t;
   auto binding = net.bind(t);
-  auto out = net.forward_on_tape(t, binding, x, 2);
+  auto out = net.forward_on_tape(t, binding, x, 2, 0);
   Matrix wall_d{{0.1}, {0.3}};
   sgm::pinn::ZeroEqOptions opt;
   VarId nut = sgm::pinn::zero_eq_nu_t(t, out, 0, 1, wall_d, opt);
@@ -298,7 +298,7 @@ TEST(LdcProblem, NavierStokesResidualConsistency) {
   pt(0, 1) = 0.6;
   Tape tape;
   auto binding = net.bind(tape);
-  auto out = net.forward_on_tape(tape, binding, pt, 2);
+  auto out = net.forward_on_tape(tape, binding, pt, 2, 2);
   auto res = sgm::pinn::navier_stokes_residuals(tape, out, 0.01,
                                                 sgm::tensor::kNoVar);
   auto f = [&](double x, double y, int c) {

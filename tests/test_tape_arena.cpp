@@ -11,7 +11,9 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -150,20 +152,14 @@ TEST(TapeArena, FirstGradientContributionOfMinusZeroEndsAtPlusZero) {
   EXPECT_EQ(bits(t2.grad(q)(0, 1)), bits(0.0));
 }
 
-TEST(TapeArena, SteadyStateTrainingStepAllocatesNothing) {
-  // The acceptance criterion of PR 4: after warm-up, a full training
-  // iteration's tape/forward/backward path — clear, bind, forward with
-  // second derivatives, loss, backward, grad collection, Adam — performs
-  // ZERO heap allocations (num_threads=1; threaded dispatch enqueues task
-  // objects by design).
-  MlpConfig cfg;
-  cfg.input_dim = 2;
-  cfg.output_dim = 1;
-  cfg.width = 16;
-  cfg.depth = 3;
+// After warm-up, a full training iteration's tape/forward/backward path —
+// clear, bind, forward with the Laplacian stream, loss, backward, grad
+// collection, Adam — must perform ZERO heap allocations (num_threads=1;
+// threaded dispatch enqueues task objects by design).
+void ExpectSteadyStateStepAllocatesNothing(const MlpConfig& cfg) {
   sgm::util::Rng rng(7);
   Mlp net(cfg, rng);
-  const Matrix x = random_matrix(32, 2, rng);
+  const Matrix x = random_matrix(32, cfg.input_dim, rng);
   sgm::nn::Adam adam(1e-3);
   const std::vector<Matrix*> params = net.parameters();
 
@@ -175,9 +171,8 @@ TEST(TapeArena, SteadyStateTrainingStepAllocatesNothing) {
   auto step = [&]() {
     tape.clear();
     net.bind(tape, &binding);
-    net.forward_on_tape(tape, binding, x, /*n_deriv=*/2, &out);
-    const VarId lap = ops::add(tape, out.d2y[0], out.d2y[1]);
-    const VarId loss = ops::mean_all(tape, ops::square(tape, lap));
+    net.forward_on_tape(tape, binding, x, /*n_deriv=*/2, /*n_lap=*/2, &out);
+    const VarId loss = ops::mean_all(tape, ops::square(tape, out.lap));
     tape.backward(loss);
     net.collect_grads_into(tape, binding, &grads);
     adam.step(params, grads);
@@ -189,6 +184,55 @@ TEST(TapeArena, SteadyStateTrainingStepAllocatesNothing) {
   for (int it = 0; it < 5; ++it) step();
   EXPECT_EQ(scope.count(), 0u)
       << "steady-state training step performed heap allocations";
+}
+
+TEST(TapeArena, SteadyStateTrainingStepAllocatesNothing) {
+  // The identity-encoded net of the PR 4 acceptance criterion.
+  MlpConfig cfg;
+  cfg.input_dim = 2;
+  cfg.output_dim = 1;
+  cfg.width = 16;
+  cfg.depth = 3;
+  ExpectSteadyStateStepAllocatesNothing(cfg);
+
+  // The gated workloads' shape: Fourier-encoded inputs (encoded straight
+  // into the tape's constant slots) and 3 outputs.
+  sgm::util::Rng enc_rng(4242);
+  cfg.output_dim = 3;
+  // A non-owning pointer to a local: heap-allocating the encoding here
+  // makes gcc 12 flag this file's malloc-backed operator new against its
+  // sized delete (-Wmismatched-new-delete).
+  const sgm::nn::FourierEncoding fourier(2, 12, 1.5, enc_rng);
+  cfg.encoding = std::shared_ptr<const sgm::nn::InputEncoding>(
+      std::shared_ptr<void>(), &fourier);
+  ExpectSteadyStateStepAllocatesNothing(cfg);
+}
+
+TEST(TapeArena, TransposeCacheIsRefreshedEachBackward) {
+  // Both matmuls read w^T from w's slot, computed once per backward sweep.
+  // After w's value changes in place, the next sweep must use the new
+  // transpose: d/dA sum(S^2) = 2 S w^T with S the recorded A w + B w.
+  sgm::util::Rng rng(13);
+  const Matrix a = random_matrix(5, 4, rng);
+  const Matrix b = random_matrix(5, 4, rng);
+  const Matrix w0 = random_matrix(4, 3, rng);
+  const Matrix w1 = random_matrix(4, 3, rng);
+  Tape t;
+  const VarId av = t.parameter(a);
+  const VarId bv = t.parameter(b);
+  const VarId w = t.constant(w0);
+  const VarId root = ops::sum_all(
+      t, ops::square(t, ops::add(t, ops::matmul(t, av, w),
+                                 ops::matmul(t, bv, w))));
+  const Matrix two_s = 2.0 * (ops::matmul(a, w0) + ops::matmul(b, w0));
+
+  for (const Matrix* wv : {&w0, &w1}) {
+    t.mutable_value(w) = *wv;
+    t.backward(root);
+    const Matrix expected = ops::matmul_nt(two_s, *wv);
+    EXPECT_LT((t.grad(av) - expected).max_abs(), 1e-12);
+    EXPECT_LT((t.grad(bv) - expected).max_abs(), 1e-12);
+  }
 }
 
 // -------------------------------------------------------------- fused ops --
@@ -259,56 +303,112 @@ TEST(FusedOps, ActivationSweepMatchesApplyLadder) {
     EXPECT_LT((t.value(s) - t.value(ops::apply(t, zv, *act, 0))).max_abs(),
               1e-12)
         << act->name();
-    // The sweep's aux buffers are exercised through act_chain / act_curve.
-    const Matrix zk = random_matrix(7, 5, rng);
-    const Matrix hzk = random_matrix(7, 5, rng);
-    VarId zkv = t.constant(zk);
-    VarId hzkv = t.constant(hzk);
-    VarId chain = ops::act_chain(t, s, zkv);
-    VarId ref_chain = ops::mul(t, ops::apply(t, zv, *act, 1), zkv);
+    // The sweep's aux buffers are exercised through act_chain /
+    // act_laplacian.
+    const Matrix z0 = random_matrix(7, 5, rng);
+    const Matrix z1 = random_matrix(7, 5, rng);
+    const Matrix lz = random_matrix(7, 5, rng);
+    const VarId zks[2] = {t.constant(z0), t.constant(z1)};
+    VarId lzv = t.constant(lz);
+    VarId chain = ops::act_chain(t, s, zks[0]);
+    VarId ref_chain = ops::mul(t, ops::apply(t, zv, *act, 1), zks[0]);
     EXPECT_LT((t.value(chain) - t.value(ref_chain)).max_abs(), 1e-12)
         << act->name();
-    VarId curve = ops::act_curve(t, s, zkv, hzkv);
-    VarId ref_curve = ops::add(
-        t, ops::mul(t, ops::apply(t, zv, *act, 2), ops::square(t, zkv)),
-        ops::mul(t, ops::apply(t, zv, *act, 1), hzkv));
-    EXPECT_LT((t.value(curve) - t.value(ref_curve)).max_abs(), 1e-12)
+    VarId lap = ops::act_laplacian(t, s, zks, lzv);
+    const VarId s2 = ops::apply(t, zv, *act, 2);
+    VarId ref_lap = ops::add(
+        t,
+        ops::add(t, ops::mul(t, s2, ops::square(t, zks[0])),
+                 ops::mul(t, s2, ops::square(t, zks[1]))),
+        ops::mul(t, ops::apply(t, zv, *act, 1), lzv));
+    EXPECT_LT((t.value(lap) - t.value(ref_lap)).max_abs(), 1e-12)
         << act->name();
   }
 }
 
-TEST(FusedOps, ActChainAndCurveGradcheck) {
+TEST(FusedOps, ActChainAndLaplacianGradcheck) {
   // End-to-end gradient of a loss built from the fused derivative-
-  // propagation ops, checked against the unfused composition's gradient.
-  sgm::util::Rng rng(5);
-  const Matrix z0 = random_matrix(4, 3, rng);
-  const Matrix zk = random_matrix(4, 3, rng);
-  const Matrix hzk = random_matrix(4, 3, rng);
+  // propagation ops, checked against the unfused composition's gradient,
+  // for 1 to 3 Jacobian inputs of the Laplacian node. Every input is a
+  // parameter so all of its gradients are compared.
+  const auto& act = sgm::nn::silu();
+  for (std::size_t n = 1; n <= 3; ++n) {
+    sgm::util::Rng rng(5);
+    const Matrix z0 = random_matrix(4, 3, rng);
+    std::vector<Matrix> zk;
+    for (std::size_t k = 0; k < n; ++k) zk.push_back(random_matrix(4, 3, rng));
+    const Matrix lz = random_matrix(4, 3, rng);
+
+    Tape tf;
+    VarId zf = tf.parameter(z0);
+    std::vector<VarId> zkf;
+    for (const Matrix& m : zk) zkf.push_back(tf.parameter(m));
+    VarId lzf = tf.parameter(lz);
+    VarId sf = ops::activation(tf, zf, act, 3);
+    VarId rootf = ops::mean_all(
+        tf, ops::square(tf, ops::add(tf, ops::act_chain(tf, sf, zkf[0]),
+                                     ops::act_laplacian(tf, sf, zkf, lzf))));
+    tf.backward(rootf);
+
+    Tape tu;
+    VarId zu = tu.parameter(z0);
+    std::vector<VarId> zku;
+    for (const Matrix& m : zk) zku.push_back(tu.parameter(m));
+    VarId lzu = tu.parameter(lz);
+    VarId s1 = ops::apply(tu, zu, act, 1);
+    VarId s2 = ops::apply(tu, zu, act, 2);
+    VarId chain = ops::mul(tu, s1, zku[0]);
+    VarId lap = ops::mul(tu, s1, lzu);
+    for (VarId z : zku)
+      lap = ops::add(tu, lap, ops::mul(tu, s2, ops::square(tu, z)));
+    VarId rootu = ops::mean_all(tu, ops::square(tu, ops::add(tu, chain, lap)));
+    tu.backward(rootu);
+
+    EXPECT_LT((tf.value(rootf) - tu.value(rootu)).max_abs(), 1e-12) << n;
+    EXPECT_LT((tf.grad(zf) - tu.grad(zu)).max_abs(), 1e-10) << n;
+    EXPECT_LT((tf.grad(lzf) - tu.grad(lzu)).max_abs(), 1e-10) << n;
+    for (std::size_t k = 0; k < n; ++k)
+      EXPECT_LT((tf.grad(zkf[k]) - tu.grad(zku[k])).max_abs(), 1e-10)
+          << n << " z_" << k;
+  }
+}
+
+TEST(FusedOps, SingleDimLaplacianIsTheCurveFormulaBitwise) {
+  // With one Jacobian input the Laplacian node is the per-dimension
+  // Hessian-diagonal update f''(z) z0^2 + f'(z) lz, bit for bit in value
+  // and in all three input gradients: the reference below is that formula
+  // written out by hand. Burgers (n_lap = 1) keeps its bits through it.
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  sgm::util::Rng rng(17);
+  const Matrix z = random_matrix(9, 7, rng, 2.0);
+  const Matrix z0 = random_matrix(9, 7, rng);
+  const Matrix lz = random_matrix(9, 7, rng);
+  const Matrix c = random_matrix(9, 7, rng);
   const auto& act = sgm::nn::silu();
 
-  Tape tf;
-  VarId zf = tf.parameter(z0);
-  VarId sf = ops::activation(tf, zf, act, 3);
-  VarId rootf = ops::mean_all(
-      tf, ops::square(tf, ops::add(tf, ops::act_chain(tf, sf, tf.constant(zk)),
-                                   ops::act_curve(tf, sf, tf.constant(zk),
-                                                  tf.constant(hzk)))));
-  tf.backward(rootf);
+  Tape t;
+  const VarId zv = t.parameter(z);
+  const VarId z0v = t.parameter(z0);
+  const VarId lzv = t.parameter(lz);
+  const VarId s = ops::activation(t, zv, act, 3);
+  const VarId lap = ops::act_laplacian(t, s, std::span(&z0v, 1), lzv);
+  // Upstream gradient of lap is exactly c.
+  t.backward(ops::sum_all(t, ops::mul(t, lap, t.constant(c))));
 
-  Tape tu;
-  VarId zu = tu.parameter(z0);
-  VarId s1 = ops::apply(tu, zu, act, 1);
-  VarId s2 = ops::apply(tu, zu, act, 2);
-  VarId zkc = tu.constant(zk);
-  VarId chain = ops::mul(tu, s1, zkc);
-  VarId curve = ops::add(tu, ops::mul(tu, s2, ops::square(tu, zkc)),
-                         ops::mul(tu, s1, tu.constant(hzk)));
-  VarId rootu =
-      ops::mean_all(tu, ops::square(tu, ops::add(tu, chain, curve)));
-  tu.backward(rootu);
-
-  EXPECT_LT((tf.value(rootf) - tu.value(rootu)).max_abs(), 1e-12);
-  EXPECT_LT((tf.grad(zf) - tu.grad(zu)).max_abs(), 1e-10);
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    const double x = z.data()[i], zk = z0.data()[i], h = lz.data()[i];
+    const double g = c.data()[i];
+    const double s1 = act.eval(x, 1), s2 = act.eval(x, 2),
+                 s3 = act.eval(x, 3);
+    EXPECT_EQ(bits(t.value(lap).data()[i]), bits(s2 * zk * zk + s1 * h))
+        << i;
+    EXPECT_EQ(bits(t.grad(zv).data()[i]),
+              bits(g * (s3 * zk * zk + s2 * h) + 0.0))
+        << i;
+    EXPECT_EQ(bits(t.grad(z0v).data()[i]), bits(2.0 * g * s2 * zk + 0.0))
+        << i;
+    EXPECT_EQ(bits(t.grad(lzv).data()[i]), bits(g * s1 + 0.0)) << i;
+  }
 }
 
 // ---------------------------------------------------------- GEMM property --
@@ -385,9 +485,8 @@ TEST(ThreadedTape, ForwardBackwardBitwiseIdenticalAcrossThreadCounts) {
     tape.set_num_threads(threads);
     Mlp::Binding binding;
     net.bind(tape, &binding);
-    auto out = net.forward_on_tape(tape, binding, x, 2);
-    const VarId lap = ops::add(tape, out.d2y[0], out.d2y[1]);
-    const VarId root = ops::mean_all(tape, ops::square(tape, lap));
+    auto out = net.forward_on_tape(tape, binding, x, 2, 2);
+    const VarId root = ops::mean_all(tape, ops::square(tape, out.lap));
     tape.backward(root);
     *loss = tape.value(root);
     return net.collect_grads(tape, binding);
